@@ -25,6 +25,7 @@ if SRC not in sys.path:
 
 from repro.bench import (  # noqa: E402
     BENCHMARKS,
+    DEFAULT_ALLOCATORS,
     format_summary,
     run_benchmarks,
     write_results,
@@ -39,7 +40,7 @@ def main(argv=None) -> int:
     parser.add_argument("--quick", action="store_true",
                         help="scaled-down parameters for smoke runs")
     parser.add_argument("--out", default="BENCH_net.json")
-    parser.add_argument("--allocators", default="incremental,legacy",
+    parser.add_argument("--allocators", default=",".join(DEFAULT_ALLOCATORS),
                         help=f"comma-separated subset of: "
                              f"{', '.join(ALLOCATORS)}")
     args = parser.parse_args(argv)

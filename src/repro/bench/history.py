@@ -9,9 +9,9 @@ fresh record against the most recent *comparable* one (same suite,
 same quick/full mode, same resolved mode knobs) and flags changes
 beyond a noise tolerance.
 
-Metric direction is encoded in the name suffix: ``per_event_us``,
-``overhead_x`` and ``peak_rss_bytes`` regress upward; every other
-metric (throughput-shaped) regresses downward.
+Metric direction is encoded in the name suffix: ``overhead_x`` and
+``peak_rss_bytes`` regress upward; every other metric
+(throughput-shaped) regresses downward.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from datetime import datetime, timezone
 from typing import Optional
 
 #: Name suffixes where a larger value is worse.
-LOWER_IS_BETTER = ("per_event_us", "overhead_x", "peak_rss_bytes")
+LOWER_IS_BETTER = ("overhead_x", "peak_rss_bytes")
 
 DEFAULT_TOLERANCE = 0.15
 HISTORY_FILENAME = "BENCH_history.jsonl"
@@ -31,17 +31,11 @@ HISTORY_FILENAME = "BENCH_history.jsonl"
 # -- metric extraction --------------------------------------------------------
 
 def _net_metrics(document: dict) -> dict[str, float]:
-    metrics: dict[str, float] = {}
-    for run in document.get("benchmarks", ()):
-        key = f"{run['name']}/{run['allocator']}"
-        if "rows" in run:
-            for row in run["rows"]:
-                metrics[f"{key}/flows{row['flows']}.per_event_us"] = (
-                    row["per_event_us"]
-                )
-        else:
-            metrics[f"{key}.events_per_sec"] = run["events_per_sec"]
-    return metrics
+    return {
+        f"{run['name']}/{run['allocator']}.events_per_sec":
+            run["events_per_sec"]
+        for run in document.get("benchmarks", ())
+    }
 
 
 def _platform_metrics(document: dict) -> dict[str, float]:

@@ -13,15 +13,8 @@ flows):
 ``fanin_hotspot``
     Every flow shares one bottleneck link (a single component), so
     scoping cannot help — this guards against regressions on the fully
-    contended case, which must stay at parity with the from-scratch
-    allocator (the component search is amortized by dropped sorts and
-    timer-reschedule elision).
-``fanin_scaling``
-    The fan-in shape at 1k/4k/10k flows on one link, timing only the
-    churn phase so ``per_event_us`` isolates the allocator's marginal
-    cost at each component size.  Runs ``incremental``, the opt-in
-    ``analytic`` mode (the flat-cost row), and ``legacy`` capped at
-    4k flows.
+    contended case (the component search is amortized by dropped sorts
+    and timer-reschedule elision).
 ``multipath_chunk_storm``
     Chunk-batched :class:`~repro.net.transfer.TransferEngine` transfers
     over two-hop parallel paths in disjoint groups — the paper's 2 MB
@@ -34,17 +27,15 @@ flows):
     delivers identical observable behaviour — the steady-state
     coalescing headline.
 
-Each scenario runs once per allocator and reports wall-clock, flow
-events per second (starts + finishes), reallocation count, and mean
-component size; :func:`run_benchmarks` adds incremental-vs-legacy
-speedups and :func:`write_results` records everything in
+Each scenario runs once per allocator (``incremental`` by default;
+``fullscan`` is the differential reference) and reports wall-clock,
+flow events per second (starts + finishes), reallocation count, and
+mean component size; :func:`write_results` records everything in
 ``BENCH_net.json`` so perf PRs leave a measured trajectory.
 """
 
 from __future__ import annotations
 
-import contextlib
-import gc
 import json
 import math
 import platform
@@ -59,27 +50,7 @@ from repro.net.transfer import Path, TransferEngine
 from repro.sim.core import Environment
 
 SCHEMA_VERSION = 1
-DEFAULT_ALLOCATORS = ("incremental", "legacy")
-
-
-@contextlib.contextmanager
-def _gc_paused():
-    """Keep the cyclic collector out of a timed churn window.
-
-    The scaling scenarios pin O(10k) flow objects (with ``_comp``
-    back-references) before timing a few hundred churn events; a gen-2
-    collection inside the window costs Θ(population) and shows up as
-    per-event cost that is really allocator-independent GC pressure.
-    Collect once up front so the window starts clean, then disable.
-    """
-    gc.collect()
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if was_enabled:
-            gc.enable()
+DEFAULT_ALLOCATORS = ("incremental",)
 
 
 def _result(name: str, allocator: str, net: FlowNetwork,
@@ -99,19 +70,10 @@ def _result(name: str, allocator: str, net: FlowNetwork,
         "timer_reschedules": net.timer_reschedules,
         "timer_elisions": net.timer_elisions,
         "heap_compactions": env.compactions,
-        # Level-cache effectiveness (zero for legacy/fullscan, which
-        # never consult the cache).
-        "cache_hits": net.cache_hits,
-        "cache_rebuilds": net.cache_rebuilds,
-        "levels_spliced": net.levels_spliced,
-        "levels_recomputed": net.levels_recomputed,
-        "analytic_events": net.analytic_events,
-        # Macro-flow coalescing and epoch fast-forwarding activity
-        # (zero for allocators/modes that never engage them).
+        # Macro-flow coalescing activity (zero unless a transfer
+        # engine runs in coalesced mode).
         "macro_coalesced": net.macro_coalesced,
         "macro_splits": net.macro_splits,
-        "epoch_boundaries": net.epoch_boundaries,
-        "epoch_settles": net.epoch_settles,
     }
 
 
@@ -178,193 +140,10 @@ def bench_fanin_hotspot(
     start = time.perf_counter()
     env.run()
     wall = time.perf_counter() - start
-    if allocator == "incremental":
-        # The level cache must actually engage on the fully contended
-        # case — fanin is the workload the cache exists for.  (The
-        # former ``timer_elisions > 0`` guard is subsumed: under the
-        # comp-timer regime elisions are incidental, cache traffic is
-        # the invariant.)
-        assert net.cache_hits + net.cache_rebuilds > 0, (
-            "level cache never consulted under fanin_hotspot "
-            f"({net.realloc_count} reallocs)"
-        )
     return _result(
         "fanin_hotspot", allocator, net, env, 2 * completed, wall,
         {"flows": flows, "rounds": rounds},
     )
-
-
-def bench_fanin_scaling(
-    allocator: str,
-    flow_counts: Sequence[int] = (1000, 4000, 10000),
-    churn_rounds: int = 250,
-    legacy_max_flows: int = 4000,
-) -> dict:
-    """Per-event cost vs component size on one saturated link.
-
-    For each population N, N long-lived flows pin the hot link and a
-    single churner restarts short flows back-to-back; only the churn
-    phase is timed, so ``per_event_us`` isolates the allocator's
-    marginal cost at that component size.  ``incremental`` keeps exact
-    eager per-flow state — provably Θ(N) per event, since every
-    arrival changes every member's rate — while ``analytic`` (opt-in)
-    integrates one shared service curve at O(log N) per event: the
-    flat-cost row the 1k→10k acceptance target reads.  ``legacy`` is
-    capped at *legacy_max_flows* (its global recompute plus full timer
-    rearm is quadratic enough to dominate the suite's runtime).
-    """
-    rows: list[dict] = []
-    counts = [
-        n for n in flow_counts
-        if not (allocator == "legacy" and n > legacy_max_flows)
-    ]
-    for n in counts:
-        env = Environment()
-        net = FlowNetwork(env, allocator=allocator)
-        hot = Link(link_id="scale.hot", src="many", dst="gpu",
-                   capacity=100 * MB, kind=LinkKind.PCIE)
-        # Pinned population: sized to outlive the whole churn phase.
-        for _ in range(n):
-            net.start_flow([hot], 1e15)
-        churn_done: list[bool] = []
-
-        def churner():
-            for round_no in range(churn_rounds):
-                flow = net.start_flow([hot], (1 + round_no % 7) * MB / 8)
-                yield flow.done
-            churn_done.append(True)
-
-        env.process(churner())
-        events = 2 * churn_rounds  # one start + one finish per restart
-        with _gc_paused():
-            start = time.perf_counter()
-            while not churn_done:
-                env.step()
-            wall = max(time.perf_counter() - start, 1e-9)
-        rows.append({
-            "flows": n,
-            "churn_events": events,
-            "wall_s": wall,
-            "events_per_sec": events / wall,
-            "per_event_us": wall / events * 1e6,
-            "cache_hits": net.cache_hits,
-            "cache_rebuilds": net.cache_rebuilds,
-            "analytic_events": net.analytic_events,
-        })
-    record = {
-        "name": "fanin_scaling",
-        "allocator": allocator,
-        "config": {"flow_counts": list(counts),
-                   "churn_rounds": churn_rounds},
-        "rows": rows,
-        # Aggregates so the document's flat schema consumers (summary
-        # table, CI assertion) can treat this like any other record.
-        "flow_events": sum(r["churn_events"] for r in rows),
-        "wall_s": sum(r["wall_s"] for r in rows),
-        "events_per_sec": (
-            sum(r["churn_events"] for r in rows)
-            / max(sum(r["wall_s"] for r in rows), 1e-9)
-        ),
-    }
-    if len(rows) > 1:
-        record["per_event_ratio_max_over_min_flows"] = (
-            rows[-1]["per_event_us"] / rows[0]["per_event_us"]
-        )
-    return record
-
-
-def bench_component_storm(
-    allocator: str,
-    flow_counts: Sequence[int] = (1000, 4000, 10000),
-    churn_rounds: int = 250,
-    leaves: int = 16,
-) -> dict:
-    """Churn inside one large *multi-link* clean component.
-
-    N pinned flows spread over *leaves* leaf links, every path crossing
-    one huge shared uplink, so the whole topology is a single clean
-    component with ``leaves + 2`` links; a churner restarts short flows
-    back-to-back on a sparse dedicated leaf.  Only the churn phase is
-    timed.
-
-    Leaf capacities are exact multiples of the per-leaf population
-    (power-of-two per-flow shares), so the water-fill's freeze
-    residuals hit exactly ``0.0`` and the level structure is one level
-    per leaf instead of one terminal catch-all — the representative
-    case for the splice cache.  The eager ``incremental`` allocator
-    still pays Θ(N) per churn event (advance + partition over every
-    member); ``epoch`` defers member advances into the component
-    ledger and splices through the per-level buckets, so its per-event
-    cost is flat in N — the multi-link epoch fast-forwarding headline
-    (read ``per_event_ratio_max_over_min_flows``).
-    """
-    rows: list[dict] = []
-    for n in flow_counts:
-        env = Environment()
-        net = FlowNetwork(env, allocator=allocator)
-        per = max(1, n // leaves)
-        shared = Link(link_id="storm.shared", src="agg", dst="sink",
-                      capacity=float(1 << 45), kind=LinkKind.NIC)
-        churn_leaf = Link(link_id="storm.churnleaf", src="cn", dst="agg",
-                          capacity=float(1 << 34), kind=LinkKind.PCIE)
-        for k in range(leaves):
-            leaf = Link(
-                link_id=f"storm.leaf{k}", src=f"n{k}", dst="agg",
-                capacity=float((k + 1) * per * (1 << 20)),
-                kind=LinkKind.PCIE,
-            )
-            # Pinned population: sized to outlive the churn phase.
-            for _ in range(per):
-                net.start_flow([leaf, shared], 1e15)
-        # Two pinned flows keep the churn leaf inside the component.
-        for _ in range(2):
-            net.start_flow([churn_leaf, shared], 1e15)
-        churn_done: list[bool] = []
-
-        def churner():
-            for round_no in range(churn_rounds):
-                flow = net.start_flow(
-                    [churn_leaf], (1 + round_no % 7) * MB / 8
-                )
-                yield flow.done
-            churn_done.append(True)
-
-        env.process(churner())
-        events = 2 * churn_rounds
-        with _gc_paused():
-            start = time.perf_counter()
-            while not churn_done:
-                env.step()
-            wall = max(time.perf_counter() - start, 1e-9)
-        rows.append({
-            "flows": leaves * per + 2,
-            "churn_events": events,
-            "wall_s": wall,
-            "events_per_sec": events / wall,
-            "per_event_us": wall / events * 1e6,
-            "cache_hits": net.cache_hits,
-            "cache_rebuilds": net.cache_rebuilds,
-            "epoch_boundaries": net.epoch_boundaries,
-            "epoch_settles": net.epoch_settles,
-        })
-    record = {
-        "name": "component_storm",
-        "allocator": allocator,
-        "config": {"flow_counts": list(flow_counts),
-                   "churn_rounds": churn_rounds, "leaves": leaves},
-        "rows": rows,
-        "flow_events": sum(r["churn_events"] for r in rows),
-        "wall_s": sum(r["wall_s"] for r in rows),
-        "events_per_sec": (
-            sum(r["churn_events"] for r in rows)
-            / max(sum(r["wall_s"] for r in rows), 1e-9)
-        ),
-    }
-    if len(rows) > 1:
-        record["per_event_ratio_max_over_min_flows"] = (
-            rows[-1]["per_event_us"] / rows[0]["per_event_us"]
-        )
-    return record
 
 
 def bench_multipath_chunk_storm(
@@ -441,10 +220,6 @@ def bench_transfer_storm(
     identical observable behaviour.  The returned record is the
     coalesced run, with the per-batch run nested under ``"per_batch"``
     and the headline ratio under ``"coalesced_speedup_over_per_batch"``.
-
-    With the ``legacy`` allocator the engine never coalesces (it
-    predates components), so both runs take the per-batch path and the
-    ratio hovers around 1x — kept as a baseline record only.
     """
     def run_mode(mode: str) -> dict:
         env = Environment()
@@ -493,7 +268,7 @@ def bench_transfer_storm(
     record["coalesced_speedup_over_per_batch"] = (
         record["events_per_sec"] / per_batch["events_per_sec"]
     )
-    if allocator != "legacy" and transfer_mb >= 1024:
+    if transfer_mb >= 1024:
         assert record["coalesced_speedup_over_per_batch"] >= 2.0, (
             "coalescing below the 2x floor at 1 GB: "
             f"{record['coalesced_speedup_over_per_batch']:.2f}x"
@@ -515,16 +290,6 @@ BENCHMARKS: dict[str, tuple[BenchFn, dict, dict]] = {
         {"flows": 128, "rounds": 16},
         {"flows": 32, "rounds": 4},
     ),
-    "fanin_scaling": (
-        bench_fanin_scaling,
-        {"flow_counts": (1000, 4000, 10000), "churn_rounds": 250},
-        {"flow_counts": (256, 1024), "churn_rounds": 60},
-    ),
-    "component_storm": (
-        bench_component_storm,
-        {"flow_counts": (1000, 4000, 10000), "churn_rounds": 250},
-        {"flow_counts": (256, 1024), "churn_rounds": 60},
-    ),
     "multipath_chunk_storm": (
         bench_multipath_chunk_storm,
         {"groups": 16, "transfers_per_group": 4, "transfer_mb": 24},
@@ -537,18 +302,6 @@ BENCHMARKS: dict[str, tuple[BenchFn, dict, dict]] = {
     ),
 }
 
-# Per-benchmark allocator override: the scaling curves need the opt-in
-# fast modes (the flat-cost rows) next to the eager ones.
-BENCH_ALLOCATORS: dict[str, tuple[str, ...]] = {
-    "fanin_scaling": ("incremental", "analytic", "legacy"),
-    "component_storm": ("incremental", "epoch"),
-}
-
-# Scaling benchmarks are compared per-row (per_event_us across flow
-# counts), not by aggregate events/sec, so the incremental-over-legacy
-# speedup loop skips them.
-SCALING_BENCHMARKS = ("fanin_scaling", "component_storm")
-
 
 def run_benchmarks(
     quick: bool = False,
@@ -557,8 +310,7 @@ def run_benchmarks(
 ) -> dict:
     """Run the selected microbenchmarks for each allocator.
 
-    Returns the ``BENCH_net.json`` document: per-run records plus an
-    incremental-over-legacy speedup per scenario (when both ran).
+    Returns the ``BENCH_net.json`` document of per-run records.
     """
     selected = list(names) if names else list(BENCHMARKS)
     unknown = [n for n in selected if n not in BENCHMARKS]
@@ -571,46 +323,16 @@ def run_benchmarks(
     for name in selected:
         fn, full_kwargs, quick_kwargs = BENCHMARKS[name]
         kwargs = quick_kwargs if quick else full_kwargs
-        for allocator in BENCH_ALLOCATORS.get(name, allocators):
+        for allocator in allocators:
             runs.append(fn(allocator, **kwargs))
-    speedups: dict[str, float] = {}
-    for name in selected:
-        if name in SCALING_BENCHMARKS:
-            continue  # compared per-row below, not by aggregate
-        by_alloc = {
-            run["allocator"]: run for run in runs if run["name"] == name
-        }
-        if "incremental" in by_alloc and "legacy" in by_alloc:
-            speedups[name] = (
-                by_alloc["incremental"]["events_per_sec"]
-                / by_alloc["legacy"]["events_per_sec"]
-            )
-    document = {
+    return {
         "schema": SCHEMA_VERSION,
         "generated_by": "repro bench",
         "mode": "quick" if quick else "full",
         "modes": mode_metadata(),
         "python": platform.python_version(),
         "benchmarks": runs,
-        "speedup_incremental_over_legacy": speedups,
     }
-    for scale_name in SCALING_BENCHMARKS:
-        scaling: dict[str, dict] = {}
-        for run in runs:
-            if run["name"] != scale_name:
-                continue
-            scaling[run["allocator"]] = {
-                "per_event_us": {
-                    str(row["flows"]): row["per_event_us"]
-                    for row in run["rows"]
-                },
-                "per_event_ratio_max_over_min_flows": run.get(
-                    "per_event_ratio_max_over_min_flows"
-                ),
-            }
-        if scaling:
-            document[scale_name] = scaling
-    return document
 
 
 def write_results(document: dict, path: str) -> None:
@@ -626,28 +348,11 @@ def format_summary(document: dict) -> str:
         f"{'wall (s)':>9} {'reallocs':>9} {'mean comp':>10}"
     ]
     for run in document["benchmarks"]:
-        if "rows" in run:  # scaling records get their own lines below
-            continue
         lines.append(
             f"{run['name']:<24} {run['allocator']:<12} "
             f"{run['events_per_sec']:>12.0f} {run['wall_s']:>9.3f} "
             f"{run['realloc_count']:>9} {run['mean_component_size']:>10.1f}"
         )
-    for run in document["benchmarks"]:
-        for row in run.get("rows", ()):
-            lines.append(
-                f"{run['name']:<24} {run['allocator']:<12} "
-                f"{row['events_per_sec']:>12.0f} {row['wall_s']:>9.3f} "
-                f"flows={row['flows']:<7} "
-                f"per-event={row['per_event_us']:.1f}us"
-            )
-        ratio = run.get("per_event_ratio_max_over_min_flows")
-        if ratio is not None:
-            counts = run["config"]["flow_counts"]
-            lines.append(
-                f"scaling[{run['name']}/{run['allocator']}] per-event "
-                f"{counts[-1]}/{counts[0]} flows = {ratio:.2f}x"
-            )
     for run in document["benchmarks"]:
         ratio = run.get("coalesced_speedup_over_per_batch")
         if ratio is not None:
@@ -655,7 +360,4 @@ def format_summary(document: dict) -> str:
                 f"coalesce[{run['name']}/{run['allocator']}] = {ratio:.2f}x "
                 "(events/sec, coalesced over per_batch)"
             )
-    for name, speedup in document["speedup_incremental_over_legacy"].items():
-        lines.append(f"speedup[{name}] = {speedup:.2f}x (events/sec, "
-                     "incremental over legacy)")
     return "\n".join(lines)

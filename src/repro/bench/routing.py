@@ -32,11 +32,13 @@ is evicted every round, so fill cost is charged), and ``book_warm``
 
 from __future__ import annotations
 
+import contextlib
+import gc
 import platform as _platform
 import time
 from typing import Callable, Optional, Sequence
 
-from repro.bench.netflow import SCHEMA_VERSION, _gc_paused
+from repro.bench.netflow import SCHEMA_VERSION
 from repro.common.config import mode_metadata
 from repro.common.units import MB
 from repro.net.network import FlowNetwork
@@ -59,6 +61,24 @@ def _evict_books(cluster) -> None:
     _routebook._CLUSTER_BOOKS.pop(cluster, None)
     for node in cluster.nodes:
         _routebook._NODE_BOOKS.pop(node, None)
+
+
+@contextlib.contextmanager
+def _gc_paused():
+    """Keep the cyclic collector out of a timed decision window.
+
+    A gen-2 collection inside the window costs time proportional to
+    the live heap, not to the routing work being measured.  Collect
+    once up front so the window starts clean, then disable.
+    """
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def _timed(decide: Callable[[], int], rounds: int,

@@ -403,7 +403,12 @@ def _bench_history(args, suite: str, document: dict, out: str) -> int:
 
 
 def _cmd_bench(args) -> int:
-    from repro.bench import format_summary, run_benchmarks, write_results
+    from repro.bench import (
+        DEFAULT_ALLOCATORS,
+        format_summary,
+        run_benchmarks,
+        write_results,
+    )
     from repro.net.network import ALLOCATORS
 
     if args.suite == "platform":
@@ -426,7 +431,7 @@ def _cmd_bench(args) -> int:
         document = run_benchmarks(
             quick=args.quick,
             names=args.benchmarks or None,
-            allocators=allocators or ("incremental", "legacy"),
+            allocators=allocators or DEFAULT_ALLOCATORS,
         )
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
@@ -769,7 +774,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "--allocators",
         help="comma-separated allocator modes "
-             "(default: incremental,legacy)",
+             "(default: incremental)",
     )
     bench.add_argument(
         "--heartbeat", type=float, default=0.0,

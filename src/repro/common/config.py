@@ -1,7 +1,7 @@
 """Mode-knob resolution: one precedence rule for every env override.
 
-Every tunable mode in the stack (allocator, transfer coalescing, epoch
-fast-forwarding) used to parse its own environment variable inline,
+Every tunable mode in the stack (allocator, transfer coalescing, route
+decisions) used to parse its own environment variable inline,
 each with slightly different validation and no shared statement of who
 wins when both an env var and a harness kwarg are set.  This module is
 the single answer:
@@ -28,7 +28,6 @@ __all__ = [
     "resolve_mode",
     "net_allocator",
     "net_transfer_mode",
-    "net_epoch_enabled",
     "net_routing_mode",
     "mode_metadata",
     "NET_ALLOCATORS",
@@ -36,14 +35,13 @@ __all__ = [
     "NET_ROUTING_MODES",
     "ENV_NET_ALLOCATOR",
     "ENV_NET_TRANSFER",
-    "ENV_NET_EPOCH",
     "ENV_NET_ROUTING",
 ]
 
 # Canonical knob names / valid values.  The net layer re-exports these
 # (repro.net.network.ALLOCATORS, repro.net.transfer.TRANSFER_MODES) so
 # existing import sites keep working.
-NET_ALLOCATORS = ("incremental", "epoch", "fullscan", "legacy", "analytic")
+NET_ALLOCATORS = ("incremental", "fullscan")
 NET_TRANSFER_MODES = ("coalesced", "per_batch")
 # Route-decision mode: "book" reads precomputed path books and the
 # O(1) contention index; "enumerate" re-runs the per-decision topology
@@ -52,11 +50,7 @@ NET_ROUTING_MODES = ("book", "enumerate")
 
 ENV_NET_ALLOCATOR = "REPRO_NET_ALLOCATOR"
 ENV_NET_TRANSFER = "REPRO_NET_TRANSFER"
-ENV_NET_EPOCH = "REPRO_NET_EPOCH"
 ENV_NET_ROUTING = "REPRO_NET_ROUTING"
-
-_TRUTHY = ("1", "true", "yes", "on")
-_FALSY = ("0", "false", "no", "off", "")
 
 
 def resolve_mode(
@@ -89,42 +83,13 @@ def resolve_mode(
     return value
 
 
-def _env_flag(env_var: str) -> Optional[bool]:
-    raw = os.environ.get(env_var)
-    if raw is None:
-        return None
-    lowered = raw.strip().lower()
-    if lowered in _TRUTHY:
-        return True
-    if lowered in _FALSY:
-        return False
-    raise ConfigError(
-        f"unknown boolean {env_var}={raw!r}; "
-        f"valid: {', '.join(_TRUTHY)} / {', '.join(v for v in _FALSY if v)}"
-    )
-
-
-def net_epoch_enabled(override: Optional[bool] = None) -> bool:
-    """Whether epoch fast-forwarding is the *default* allocator choice.
-
-    ``REPRO_NET_EPOCH=1`` flips the default allocator from
-    ``incremental`` to ``epoch``; an explicit allocator (kwarg or
-    ``REPRO_NET_ALLOCATOR``) still wins, per the precedence rule.
-    """
-    if override is not None:
-        return override
-    flag = _env_flag(ENV_NET_EPOCH)
-    return bool(flag)
-
-
 def net_allocator(override: Optional[str] = None) -> str:
     """Resolve the flow-network allocator mode."""
-    default = "epoch" if net_epoch_enabled() else "incremental"
     return resolve_mode(
         "allocator",
         env_var=ENV_NET_ALLOCATOR,
         valid=NET_ALLOCATORS,
-        default=default,
+        default="incremental",
         override=override,
     )
 
@@ -163,10 +128,8 @@ def mode_metadata(
     actually used; omitted knobs resolve from the environment the same
     way a fresh harness would.
     """
-    resolved_alloc = net_allocator(allocator)
     return {
-        "allocator": resolved_alloc,
+        "allocator": net_allocator(allocator),
         "transfer_mode": net_transfer_mode(transfer),
-        "epoch": resolved_alloc == "epoch",
         "routing": net_routing_mode(routing),
     }

@@ -16,81 +16,35 @@ A multi-hop pipelined transfer is a single flow crossing all its links
 simultaneously; its rate is bounded by the bottleneck link share, which
 is the standard pipelining approximation.
 
-Incremental, component-scoped reallocation
-------------------------------------------
+Allocators
+----------
 Rates only couple through shared links, so the flow/link graph
 decomposes into connected components (links sharing a flow are
-connected).  The default ``incremental`` allocator exploits this: when a
-flow starts, finishes, or is cancelled, only its component's rates are
-recomputed.  Flows outside the component keep their rates, their
-progress is advanced lazily per-flow (``_last_update`` accounting), and
-their completion timers are left untouched.  Within the component, a
-flow whose recomputed rate is exactly unchanged keeps its pending timer
-(reschedule elision), eliminating the one-stale-timer-per-flow heap
-churn of a from-scratch allocator.
+connected).  Two allocators exploit this, with identical semantics:
 
-Incremental *within*-component water-fill
------------------------------------------
-Component scoping buys nothing when everything is one component (the
-``fanin_hotspot`` regime: thousands of flows into one NIC).  For that
-the ``incremental`` allocator also maintains a *persistent component
-registry* (components are updated in place on arrival/merge and
-single-link departure instead of re-derived by BFS) and, for *clean*
-components — ``maxmin`` policy, no reservations (``min_rate == 0``),
-no ``rate_cap``, no macro-flows, telemetry bus detached — a cached
-*bottleneck-level structure* (:mod:`repro.net.waterfill`): the sorted
-sequence of saturation levels the progressive fill produces.  On a
-single flow arrival or departure a splice scan finds the first
-perturbed pass ``j*``; levels below it are reused verbatim (their
-rates, freeze sets and link residuals are provably bit-identical) and
-only passes ``>= j*`` are recomputed.  Completion timers collapse to
-one armed timer per component (the level structure makes the earliest
-completion a cheap scan), eliminating the per-flow heap churn that
-made ``incremental`` *slower* than ``legacy`` on one big component.
-Whenever a precondition fails — reservations, caps, SLO-gated phase-1
-grants, macro splits, component merges, a telemetry bus attached —
-the allocator degrades gracefully to the classic scoped full refill,
-which is bit-identical to the pre-cache behaviour (and rebuilds the
-cache when the component becomes clean again).
-
-Three other allocator modes exist for validation and benchmarking:
-
+``incremental`` (default)
+    When a flow starts, finishes, or is cancelled, a BFS from the
+    changed flow (or, after a departure, from its link-sharing
+    neighbours) finds the affected component(s), and only their rates
+    are recomputed.  Flows outside keep their rates, their progress is
+    advanced lazily per flow (``_last_update`` accounting), and their
+    completion timers are left untouched.  Within the component, a flow
+    whose recomputed rate — or recomputed completion instant — is
+    exactly unchanged keeps its pending timer (reschedule elision).
 ``fullscan``
-    Same semantics, but components are re-derived from scratch on every
-    event by a union-find sweep over all flows.  Used as the
-    differential-testing reference: its rates, event orderings, and
-    finish times must be bit-identical to ``incremental``.
-``legacy``
-    The original from-scratch allocator: every event advances all
-    flows, recomputes all rates globally, and rearms every completion
-    timer.  Kept as the perf-benchmark baseline (`repro bench`).
-``analytic``
-    ``incremental`` plus closed-form completion for clean
-    *single-link* components: instead of settling every member's
-    ``remaining`` through each rate epoch (Θ(members) per event for
-    any bit-exact chain), the component integrates one shared service
-    curve and completes flows off a heap — O(log n) per event, flat
-    in component size.  Rates are identical floats; completion
-    *instants* drift from the eager subtraction chains at the ulp
-    level, which is why this mode is opt-in rather than the default.
-``epoch``
-    ``incremental`` plus *deferred-advance epoch fast-forwarding* for
-    clean components of **any** link count (:mod:`repro.sim.epoch`).
-    Instead of eagerly settling every member at every event, each
-    event records one piecewise-constant-rate *epoch boundary* in a
-    per-component ledger; a member's exact eager subtraction chain is
-    replayed — same floats, same order — only when it is observed (its
-    own completion, a rate change, or a regime exit).  Unlike
-    ``analytic`` this is bit-identical to ``incremental``: it replays
-    the eager float chains lazily rather than replacing them with
-    closed forms.  Any disturbance (merge, cancel, byte query, dirty
-    precondition) hits an *epoch barrier* that materializes full eager
-    state before proceeding.
+    Components are re-derived from scratch on every event by a
+    union-find sweep over all flows.  The differential-testing
+    reference: its rates, event orderings, and finish times must be
+    bit-identical to ``incremental``.
+
+Quiescent chunk-batch loops can additionally be coalesced into one
+*macro-flow* (:meth:`FlowNetwork.start_macro_flow`) that replays the
+per-batch arithmetic virtually and splits back to per-batch flows on
+any disturbance.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
@@ -98,20 +52,12 @@ from typing import Iterable, Optional, Sequence
 from repro.common.config import NET_ALLOCATORS, net_allocator
 from repro.common.errors import SimulationError
 from repro.net.links import Link
-from repro.net.waterfill import AnalyticState, Level, splice_scan
 from repro.sim.core import Environment, Event, ScheduledCall
-from repro.sim.epoch import ArmSequencer, EpochLedger, EpochRegion, TimerSlot
 from repro.telemetry.events import FlowFinished, FlowStarted, FlowsReallocated
 
 _EPS = 1e-9
 
 ALLOCATORS = NET_ALLOCATORS
-
-# Deferred-advance ledgers are settled wholesale past this many epochs:
-# bounds the replay-chain length (and thus the worst-case accumulated
-# float error the >1-byte elision guard must absorb) and the ledger's
-# memory growth in very long quiescent stretches.
-_LEDGER_MAX_EPOCHS = 4096
 
 
 @dataclass
@@ -148,24 +94,12 @@ class Flow:
         "arrival_order",
         "done",
         "macro_outcome",
-        "_remaining",
-        "_rate",
+        "remaining",
+        "rate",
         "_last_update",
         "_timer",
         "_timer_at",
-        "_timer_seq",
         "_macro",
-        "_comp",
-        "_order_idx",
-        "_level_idx",
-        "_astate",
-        "_v_done",
-        "_eled",
-        "_eh",
-        "_eidx",
-        "_ejoin",
-        "_edept",
-        "_erem0",
     )
 
     _ids = itertools.count()
@@ -190,13 +124,13 @@ class Flow:
         self.flow_id = next(Flow._ids)
         self.path = tuple(path)
         self.size = float(size)
-        self._remaining = float(size)
+        self.remaining = float(size)
         self.min_rate = min_rate
         self.rate_cap = rate_cap
         self.slo_deadline = slo_deadline
         self.tag = tag
         self.owner = owner
-        self._rate = 0.0
+        self.rate = 0.0
         self.started_at = env.now
         # Logical arrival instant used for ordering guarantees
         # (admission-order reservations, SLO tie-breaks).  Equals
@@ -211,60 +145,7 @@ class Flow:
         self._last_update = env.now
         self._timer: Optional[ScheduledCall] = None
         self._timer_at = 0.0
-        # Conceptual arming sequence for the comp-timer fast path: -1
-        # means "not armed"; ties on equal instants resolve by arming
-        # order, mirroring the per-flow timer heap.
-        self._timer_seq = -1
         self._macro: Optional[_MacroState] = None
-        # Persistent-component bookkeeping (incremental/analytic).
-        self._comp: Optional["_Component"] = None
-        self._order_idx = 0
-        # Index of the cached saturation level this flow froze at in
-        # its component's last clean fill; None = not bound.
-        self._level_idx: Optional[int] = None
-        # Analytic-mode virtual-service state (clean 1-link components).
-        self._astate: Optional[AnalyticState] = None
-        self._v_done = 0.0
-        # Epoch-ledger membership (epoch allocator): the owning
-        # EpochLedger while this flow's advances are deferred, plus the
-        # replay bookkeeping it maintains (rate history, settled-epoch
-        # index, join/depart epochs, remaining-at-join seed).
-        self._eled: Optional[EpochLedger] = None
-        self._eh: Optional[list] = None
-        self._eidx = 0
-        self._ejoin = 0
-        self._edept = 0
-        self._erem0 = 0.0
-
-    @property
-    def rate(self) -> float:
-        st = self._astate
-        if st is not None:
-            return st.rate
-        return self._rate
-
-    @rate.setter
-    def rate(self, value: float) -> None:
-        self._rate = value
-
-    @property
-    def remaining(self) -> float:
-        st = self._astate
-        if st is not None:
-            rem = self._v_done - st.service_now()
-            return rem if rem > 0.0 else 0.0
-        led = self._eled
-        if led is not None:
-            # Settle-on-read: replays only this flow's own deferred
-            # subtraction chain (order-independent across flows), so
-            # external observers see the same as-of-last-boundary value
-            # an eager run would hold.
-            led.settle_member(self)
-        return self._remaining
-
-    @remaining.setter
-    def remaining(self, value: float) -> None:
-        self._remaining = value
 
     def __repr__(self) -> str:
         return (
@@ -291,13 +172,6 @@ class _LinkState:
     # order, so iteration is deterministic without sorting.
     flows: dict = field(default_factory=dict)
     bytes_carried: float = 0.0
-    # Owning component (persistent registry; incremental/analytic).
-    comp: Optional["_Component"] = None
-    # Component whose epoch ledger still defers byte credits for this
-    # link after the link emptied and was pruned from it.  A
-    # ``bytes_carried`` query barriers it (and clears the pointer) so
-    # the accumulator is exact even though the link has no owner.
-    epoch_comp: Optional["_Component"] = None
     # Contention-index memo: the allocated-rate sum as of network
     # generation ``alloc_gen`` (-1 = never computed).  Recomputed with
     # the exact expression ``allocated_on`` uses, so a fresh read and a
@@ -322,10 +196,9 @@ class ContentionIndex:
     ``sum(flow.rate for flow in state.flows.values())`` expression
     :meth:`FlowNetwork.allocated_on` evaluates, cached only while no
     mutation has intervened, so reads agree with the uncached
-    reference in every allocator mode (incremental / epoch / macro
-    virtual replay included — lazily advanced macro rates are read
-    identically by both).  The seeded routing differential suite pins
-    this equivalence.
+    reference under both allocators (macro virtual replay included —
+    lazily advanced macro rates are read identically by both).  The
+    seeded routing differential suite pins this equivalence.
     """
 
     __slots__ = ("_net",)
@@ -352,53 +225,6 @@ class ContentionIndex:
     def residual(self, link: Link) -> float:
         """Unallocated capacity on *link* (memoized per generation)."""
         return max(0.0, link.capacity - self.allocated(link))
-
-
-class _Component:
-    """A persistent connected component of the flow/link graph.
-
-    Maintained in place by the ``incremental``/``analytic`` allocators:
-    arrivals append (merging bridged components into the largest one),
-    single-link departures tombstone, multi-link departures dissolve
-    the component and BFS re-derives the split parts.  All flows on a
-    link always belong to one component, so exactness of the registry
-    follows from exactness of these three updates.
-
-    Timer-regime state lives in the component's
-    :class:`~repro.sim.epoch.EpochRegion`: ``region.mode`` tracks which
-    regime the members are in — ``classic`` (per-flow timers, the
-    pre-cache behaviour, used whenever a telemetry bus is attached or
-    the component is unclean), ``fast`` (one slot timer over conceptual
-    ``(instant, seq)`` completions, optionally with a deferred-advance
-    ledger under the ``epoch`` allocator), or ``analytic`` (one shared
-    service curve).  Transitions cancel the old regime's timers and
-    re-arm under the new one.
-    """
-
-    __slots__ = (
-        "order", "live", "links", "n_unclean", "n_macro", "order_dirty",
-        "cache", "region",
-    )
-
-    def __init__(self, env: Environment, seq: ArmSequencer) -> None:
-        # Arrival-ordered members; departures leave None tombstones
-        # (compacted amortizedly), so iteration order never needs a
-        # per-event sort.
-        self.order: list[Optional[Flow]] = []
-        self.live = 0
-        self.links: dict[str, _LinkState] = {}
-        # Members with a reservation or a rate cap (they freeze the
-        # fill in ways the level cache cannot splice over).
-        self.n_unclean = 0
-        self.n_macro = 0
-        # Set when arrival order may be violated (component merge,
-        # macro conversion rewriting arrival_order): the next members()
-        # call re-sorts.
-        self.order_dirty = False
-        # Cached bottleneck levels from the last clean fill.
-        self.cache: Optional[list[Level]] = None
-        # Timer regime, slot timer, service curve, deferred ledger.
-        self.region = EpochRegion(env, seq)
 
 
 @dataclass(slots=True)
@@ -459,7 +285,7 @@ class _MacroState:
         "pinned_refund",
         "published",
         "truncate_at",
-        "slot",
+        "timer",
     )
 
     def __init__(
@@ -469,11 +295,10 @@ class _MacroState:
         pinned_refund,
     ) -> None:
         self.entries = entries
-        # The macro's one analytic-completion timer (armed at the final
+        # The macro's one analytic-completion timer: armed at the final
         # batch boundary, re-armed at the truncation boundary on pinned
-        # contention); owned by a TimerSlot so re-arming at the same
-        # boundary is elided like every other epoch provider.
-        self.slot: Optional[TimerSlot] = None
+        # contention (elided when that is the instant already armed).
+        self.timer: Optional[ScheduledCall] = None
         # Virtual replica of the current per-batch flow's lazy-advance
         # state: batch index, its remaining bytes, last advance instant.
         self.index = 0
@@ -500,12 +325,12 @@ class FlowNetwork:
         ``"maxmin"`` (default, baseline behaviour) or ``"slo_gated"``
         (GROUTER §4.3.2: residual bandwidth goes to the tightest SLO).
     allocator:
-        ``"incremental"`` (default), ``"fullscan"`` (differential-test
-        reference), or ``"legacy"`` (original from-scratch allocator,
-        the benchmark baseline).  See the module docstring.  When
-        ``None``, the ``REPRO_NET_ALLOCATOR`` environment variable is
-        consulted, so whole experiment runs can be A/B-compared across
-        allocators without code changes.
+        ``"incremental"`` (default, BFS-scoped component refill) or
+        ``"fullscan"`` (union-find differential-test reference).  See
+        the module docstring.  When ``None``, the
+        ``REPRO_NET_ALLOCATOR`` environment variable is consulted, so
+        whole experiment runs can be A/B-compared across allocators
+        without code changes.
     """
 
     def __init__(
@@ -514,8 +339,8 @@ class FlowNetwork:
         policy: str = "maxmin",
         allocator: Optional[str] = None,
     ) -> None:
-        # Precedence: kwarg > REPRO_NET_ALLOCATOR > REPRO_NET_EPOCH
-        # flipping the default > "incremental" (repro.common.config).
+        # Precedence: kwarg > REPRO_NET_ALLOCATOR > "incremental"
+        # (repro.common.config).
         allocator = net_allocator(allocator)
         if policy not in ("maxmin", "slo_gated"):
             raise SimulationError(f"unknown allocation policy {policy!r}")
@@ -526,18 +351,9 @@ class FlowNetwork:
         # flow_id -> Flow; insertion-ordered (ids are monotonic), so
         # iteration is always in flow_id order without sorting.
         self._flows: dict[int, Flow] = {}
-        # Persistent component registry + level cache apply to the
-        # incremental family only.
-        self._use_components = allocator in ("incremental", "epoch", "analytic")
         # Live macro-flow count: lets start_flow skip the O(path)
         # macro-split sweep entirely in macro-free workloads.
         self._macro_live = 0
-        # Conceptual timer-arming sequence for the comp-timer regime,
-        # shared by every component's EpochRegion.
-        self._arm = ArmSequencer()
-        # Ledger in effect while an epoch reallocation runs: routes
-        # _bind_fast calls through the deferred-settle variant.
-        self._cur_ledger: Optional[EpochLedger] = None
         # Instrumentation (cheap, always on; exported by `repro bench`
         # and :meth:`export_metrics`).
         self.realloc_count = 0
@@ -545,19 +361,12 @@ class FlowNetwork:
         self.flows_started = 0
         self.timer_reschedules = 0
         self.timer_elisions = 0
-        # Level-cache effectiveness (clean-component fast path).
+        # Constant 0 (no level cache); perfbench/run.py still reads both.
         self.cache_hits = 0
         self.cache_rebuilds = 0
-        self.levels_spliced = 0
-        self.levels_recomputed = 0
-        self.analytic_events = 0
-        # Macro-flow coalescing effectiveness (PR 5 fast path).
+        # Macro-flow coalescing effectiveness.
         self.macro_coalesced = 0
         self.macro_splits = 0
-        # Epoch-engine effectiveness: boundaries recorded into ledgers
-        # (deferred Θ(members) advances) and full settle barriers.
-        self.epoch_boundaries = 0
-        self.epoch_settles = 0
         # Contention index: generation counter bumped at every rate /
         # membership mutation choke point; per-link allocated sums are
         # memoized against it (see ContentionIndex).
@@ -575,15 +384,8 @@ class FlowNetwork:
             ("net.realloc_count", self.realloc_count),
             ("net.timer_reschedules", self.timer_reschedules),
             ("net.timer_elisions", self.timer_elisions),
-            ("net.waterfill_cache_hits", self.cache_hits),
-            ("net.waterfill_cache_rebuilds", self.cache_rebuilds),
-            ("net.waterfill_levels_spliced", self.levels_spliced),
-            ("net.waterfill_levels_recomputed", self.levels_recomputed),
-            ("net.waterfill_analytic_events", self.analytic_events),
             ("net.macro_coalesced", self.macro_coalesced),
             ("net.macro_splits", self.macro_splits),
-            ("net.epoch_boundaries", self.epoch_boundaries),
-            ("net.epoch_settles", self.epoch_settles),
             ("net.contention_recomputes", self.contention_recomputes),
         ):
             counter = registry.counter(name)
@@ -645,22 +447,9 @@ class FlowNetwork:
     def bytes_carried(self, link: Link) -> float:
         """Total bytes carried by *link* so far (includes in-flight)."""
         state = self.link_state(link)
-        if self.allocator == "legacy":
-            self._advance_all()
-        else:
-            if state.comp is not None:
-                # A deferred-advance ledger holds this link's byte
-                # credits; settle it before the eager advance below so
-                # the accumulator replays in exact eager order.
-                self._epoch_barrier(state.comp)
-            if state.epoch_comp is not None:
-                # The link emptied and was pruned from a component
-                # whose ledger still defers credits for it.
-                self._epoch_barrier(state.epoch_comp)
-                state.epoch_comp = None
-            now = self.env.now
-            for flow in state.flows.values():
-                self._advance_flow(flow, now)
+        now = self.env.now
+        for flow in state.flows.values():
+            self._advance_flow(flow, now)
         return state.bytes_carried
 
     @property
@@ -704,9 +493,7 @@ class FlowNetwork:
         for link in flow.path:
             if link.link_id not in self._links:
                 self.add_link(link)
-        if self.allocator == "legacy":
-            self._advance_all()
-        elif self._macro_live:
+        if self._macro_live:
             # A new flow disturbing a macro-flow's component forces the
             # macro back to per-batch granularity *before* this flow is
             # announced, so preemption happens at the batch boundary the
@@ -716,7 +503,6 @@ class FlowNetwork:
         self._flows[flow.flow_id] = flow
         for link in flow.path:
             self._links[link.link_id].flows[flow.flow_id] = flow
-        comp = self._comp_attach(flow) if self._use_components else None
         # Announce the flow before the reallocation below publishes its
         # first rate epoch, so stream consumers (the profiler's span
         # trees) see a complete bandwidth history from birth.
@@ -734,16 +520,11 @@ class FlowNetwork:
                 owner=flow.owner,
                 capacities=tuple(link.capacity for link in flow.path),
             ))
-        if self.allocator == "legacy":
-            self._reallocate_legacy("start", flow.flow_id)
-        elif comp is not None:
-            self._comp_realloc(comp, "start", flow, arrival=True)
-        else:
-            # A new flow can merge previously disjoint components; the
-            # component search from the attached flow covers the merge.
-            # Progress inside the component is advanced at the old
-            # rates before they change; everything outside stays lazy.
-            self._reallocate_scoped([flow], "start", flow.flow_id)
+        # A new flow can merge previously disjoint components; the
+        # component search from the attached flow covers the merge.
+        # Progress inside the component is advanced at the old rates
+        # before they change; everything outside stays lazy.
+        self._reallocate_scoped([flow], "start", flow.flow_id)
         return flow
 
     def cancel_flow(self, flow: Flow) -> None:
@@ -758,8 +539,7 @@ class FlowNetwork:
         if flow._macro is not None:
             macro = flow._macro
             self._advance_flow(flow, self.env.now)
-            if macro.slot is not None:
-                macro.slot.disarm()
+            macro.timer.cancel()
             self._publish_virtual_batches(flow, macro, macro.index)
             if macro.pinned_refund is not None and macro.pinned_hold > 0:
                 macro.pinned_refund(macro.pinned_hold)
@@ -769,39 +549,12 @@ class FlowNetwork:
             self._detach(flow)
             flow.done.fail(SimulationError(f"flow {flow.flow_id} cancelled"))
             return
-        if self.allocator == "legacy":
-            self._advance_all()
-            self._detach(flow)
-            flow.done.fail(SimulationError(f"flow {flow.flow_id} cancelled"))
-            self._reallocate_legacy("cancel", flow.flow_id)
-            return
-        comp = flow._comp
-        if comp is not None:
-            # A cancel is a disturbance the ledger cannot express (the
-            # eager world advances the cancelled flow outside the
-            # uniform all-member cadence): settle everything first.
-            self._epoch_barrier(comp)
         self._advance_flow(flow, self.env.now)
-        if comp is not None and len(flow.path) == 1:
-            # A one-link flow cannot split its component: the other
-            # flows on that link stay connected through it.
-            st = flow._astate
-            if st is not None:
-                flow._remaining = max(0.0, flow._v_done - st.v)
-                flow._astate = None
-            self._detach(flow)
-            flow.done.fail(SimulationError(f"flow {flow.flow_id} cancelled"))
-            if comp.live:
-                self._comp_realloc(comp, "cancel", flow, arrival=False)
-            return
         # Removing a flow can split its component; every surviving
         # part contains a link-sharing neighbour of the removed flow,
         # so seeding the scoped pass with the neighbours covers all of
         # them without a separate whole-component search.
         neighbors = self._neighbors(flow)
-        if comp is not None:
-            flow._timer_seq = -1  # cancelled; no timer to carry over
-            self._comp_dissolve(comp)
         self._detach(flow)
         flow.done.fail(SimulationError(f"flow {flow.flow_id} cancelled"))
         self._reallocate_scoped(neighbors, "cancel", flow.flow_id)
@@ -812,11 +565,8 @@ class FlowNetwork:
 
         True only when every path link is idle — the macro would be
         alone in its bandwidth component, which is exactly the regime
-        where per-batch granularity does no preemption work.  The
-        legacy allocator predates components and never coalesces.
+        where per-batch granularity does no preemption work.
         """
-        if self.allocator == "legacy":
-            return False
         for link in path:
             state = self._links.get(link.link_id)
             if state is not None and state.flows:
@@ -849,7 +599,7 @@ class FlowNetwork:
         batch boundary (see :meth:`_split_macro`), preserving the
         paper's §4.3.2 preemption semantics bit-exactly.
         """
-        if self.allocator == "legacy" or size <= batch_bytes:
+        if size <= batch_bytes:
             return None
         for link in path:
             if link.link_id not in self._links:
@@ -914,13 +664,9 @@ class FlowNetwork:
         for link in flow.path:
             self._links[link.link_id].flows[flow.flow_id] = flow
         self._macro_live += 1
-        if self._use_components:
-            comp = self._comp_attach(flow)
-            comp.n_macro += 1
-        end = entries[-1].f
-        macro.slot = TimerSlot(self.env)
-        macro.slot.arm(end, flow, lambda f_=flow: self._on_macro_timer(f_))
-        flow._timer_at = end
+        macro.timer = self.env.schedule_at(
+            entries[-1].f, lambda f_=flow: self._on_macro_timer(f_)
+        )
         return flow
 
     def _split_macros_on(self, path: Sequence[Link]) -> None:
@@ -957,8 +703,7 @@ class FlowNetwork:
         self.macro_splits += 1
         self._touch_contention()
         self._advance_flow(flow, now)
-        if macro.slot is not None:
-            macro.slot.disarm()
+        macro.timer.cancel()
         entry = macro.entries[macro.index]
         self._publish_virtual_batches(flow, macro, macro.index)
         bus = self.env.telemetry
@@ -972,11 +717,6 @@ class FlowNetwork:
                     macro.pinned_hold = target
             flow._macro = None
             self._macro_resolved(flow)
-            comp = flow._comp
-            if comp is not None:
-                # The conversion rewrites arrival_order, so the
-                # component's arrival-sorted member list must re-sort.
-                comp.order_dirty = True
             flow.macro_outcome = MacroOutcome(
                 kind="converted", rem_before=entry.rem_before, block=entry.b
             )
@@ -1029,10 +769,6 @@ class FlowNetwork:
     def _macro_resolved(self, flow: Flow) -> None:
         """Bookkeeping when a flow stops being a macro-flow."""
         self._macro_live -= 1
-        comp = flow._comp
-        if comp is not None:
-            comp.n_macro -= 1
-            comp.cache = None
 
     def split_macro_for_pinned(self, flow: Flow) -> None:
         """Pinned-pool contention: cut the macro at its batch boundary.
@@ -1063,10 +799,11 @@ class FlowNetwork:
                 if surplus > 0:
                     macro.pinned_refund(surplus)
                     macro.pinned_hold = target
-            macro.slot.arm(
-                entry.f, flow, lambda f_=flow: self._on_macro_timer(f_)
-            )
-            flow._timer_at = entry.f
+            if macro.timer.when != entry.f:
+                macro.timer.cancel()
+                macro.timer = self.env.schedule_at(
+                    entry.f, lambda f_=flow: self._on_macro_timer(f_)
+                )
         else:
             self._publish_virtual_batches(flow, macro, macro.index)
             if macro.pinned_refund is not None and macro.pinned_hold > 0:
@@ -1088,8 +825,7 @@ class FlowNetwork:
         if flow.done.triggered or flow.flow_id not in self._flows:
             return
         macro = flow._macro
-        if macro.slot is not None:
-            macro.slot.fired()
+        macro.timer = None
         now = self.env.now
         self._advance_flow(flow, now)
         if macro.truncate_at is not None:
@@ -1178,17 +914,10 @@ class FlowNetwork:
         if flow._macro is not None:
             self._advance_macro(flow, now)
             return
-        st = flow._astate
-        if st is not None:
-            # Analytic members progress through the shared service
-            # curve; per-flow byte draining would double-count.
-            st.advance(now)
-            flow._last_update = now
-            return
         elapsed = now - flow._last_update
-        if elapsed > 0 and flow._rate > 0:
-            moved = min(flow._remaining, flow._rate * elapsed)
-            flow._remaining -= moved
+        if elapsed > 0 and flow.rate > 0:
+            moved = min(flow.remaining, flow.rate * elapsed)
+            flow.remaining -= moved
             for link in flow.path:
                 self._links[link.link_id].bytes_carried += moved
         flow._last_update = now
@@ -1244,11 +973,6 @@ class FlowNetwork:
     def _advance_component(self, flows: Sequence[Flow]) -> None:
         now = self.env.now
         for flow in flows:
-            self._advance_flow(flow, now)
-
-    def _advance_all(self) -> None:
-        now = self.env.now
-        for flow in self._flows.values():
             self._advance_flow(flow, now)
 
     # -- component discovery ------------------------------------------------
@@ -1333,20 +1057,10 @@ class FlowNetwork:
         for flow in flows:
             if flow.flow_id in seen:
                 continue
-            if self._use_components:
-                comp = flow._comp
-                if comp is not None:
-                    # The classic path settles per-flow state eagerly;
-                    # leave the fast regime before recomputing.
-                    self._enter_classic(comp)
             component, links = self._component_with(flow)
             seen.update(f.flow_id for f in component)
             self._advance_component(component)
             self._recompute_component(component, links, trigger, changed_id)
-            if self._use_components and flow._comp is None:
-                # Post-split rebuild: the BFS just re-derived this
-                # part's exact membership, so register it.
-                self._comp_rebuild(component, links)
 
     def _recompute_component(
         self,
@@ -1401,1042 +1115,6 @@ class FlowNetwork:
                 rates=tuple(f.rate for f in component),
             ))
 
-    def _reallocate_legacy(self, trigger: str, changed_id: int) -> None:
-        """Original behaviour: global recompute + rearm every timer."""
-        flows = sorted(self._flows.values(), key=lambda f: f.flow_id)
-        self.realloc_count += 1
-        self.realloc_flows += len(flows)
-        self._touch_contention()
-        rates = self._compute_rates(flows, self._links)
-        for flow, rate in rates.items():
-            flow.rate = rate
-        # Completion timers are (re)armed in flow_id order: the heap
-        # breaks same-time ties by scheduling sequence, so this keeps
-        # event ordering independent of set/hash iteration order.
-        for flow in flows:
-            self._schedule_completion(flow)
-        self.timer_reschedules += len(flows)
-        bus = self.env.telemetry
-        if bus is not None:
-            bus.publish(FlowsReallocated(
-                t=self.env.now,
-                trigger=trigger,
-                flow_id=changed_id,
-                component=tuple(f.flow_id for f in flows),
-                links=tuple(self._links),
-                rescheduled=tuple(f.flow_id for f in flows),
-                rates=tuple(f.rate for f in flows),
-            ))
-
-    # -- persistent component registry (incremental/analytic) -------------
-    def _comp_attach(self, flow: Flow) -> "_Component":
-        """Register an attached *flow*, merging bridged components.
-
-        The flow is already in the link flow dicts.  Components the
-        flow's path bridges are merged into the largest one (fewest
-        members to re-index); any merge invalidates the level cache.
-        """
-        comps: list[_Component] = []
-        for link in flow.path:
-            st = self._links[link.link_id]
-            c = st.comp
-            if c is not None and c not in comps:
-                comps.append(c)
-        if not comps:
-            comp = _Component(self.env, self._arm)
-        else:
-            comp = comps[0]
-            for c in comps[1:]:
-                if c.live > comp.live:
-                    comp = c
-            for c in comps:
-                if c is not comp:
-                    self._comp_absorb(comp, c)
-            if len(comps) > 1:
-                comp.cache = None
-        flow._comp = comp
-        flow._order_idx = len(comp.order)
-        comp.order.append(flow)
-        comp.live += 1
-        if flow.min_rate > 0.0 or flow.rate_cap != float("inf"):
-            comp.n_unclean += 1
-        for link in flow.path:
-            st = self._links[link.link_id]
-            prev = st.epoch_comp
-            if prev is not None:
-                if prev is not comp:
-                    # Re-adoption by a *different* component: flush the
-                    # old generation's deferred byte credits first, so
-                    # this link's accumulator keeps eager add order.
-                    self._epoch_barrier(prev)
-                # Same component: its (still live) ledger keeps the
-                # deferred credits in order; st.comp covers queries.
-                st.epoch_comp = None
-            st.comp = comp
-            comp.links[link.link_id] = st
-        return comp
-
-    def _comp_absorb(self, target: "_Component", source: "_Component") -> None:
-        """Merge *source* into *target* (arrival bridged them)."""
-        if target.region.mode == "analytic":
-            self._materialize_analytic(target)
-        if source.region.mode == "analytic":
-            self._materialize_analytic(source)
-        # Merges restore uniform eager state on both sides first: the
-        # merged fill advances every member at the merge instant, which
-        # the per-side ledgers cannot express.
-        self._epoch_barrier(target)
-        self._epoch_barrier(source)
-        # Classic mode's invariant is "armed member <=> real timer".
-        # When one side is classic the merged component runs classic,
-        # so the fast side's conceptual instants must become real
-        # timers *at their recorded values* — letting _enter_fast
-        # disarm them later would recompute now + rem/rate, which can
-        # land one ulp off the instant the eager regime carries.
-        if source.region.mode == "classic" and target.region.mode == "fast":
-            target.region.disarm()
-            self._materialize_timers(target)
-            target.region.mode = "classic"
-        elif target.region.mode == "classic" and source.region.mode == "fast":
-            self._materialize_timers(source)
-        source.region.disarm()
-        for f in source.order:
-            if f is None:
-                continue
-            f._comp = target
-            f._order_idx = len(target.order)
-            f._level_idx = None
-            target.order.append(f)
-        target.live += source.live
-        target.n_unclean += source.n_unclean
-        target.n_macro += source.n_macro
-        for lid, st in source.links.items():
-            st.comp = target
-            target.links[lid] = st
-        source.order.clear()
-        source.links.clear()
-        source.live = 0
-        # Appended members break arrival order; re-sort on next use.
-        target.order_dirty = True
-        target.cache = None
-
-    def _comp_members(self, comp: "_Component") -> list[Flow]:
-        """Live members in arrival order; compacts/re-sorts lazily."""
-        order = comp.order
-        if comp.order_dirty:
-            members = [f for f in order if f is not None]
-            members.sort(key=_flow_order)
-            comp.order = members
-            for i, f in enumerate(members):
-                f._order_idx = i
-            comp.order_dirty = False
-            return list(members)
-        if comp.live != len(order):
-            members = [f for f in order if f is not None]
-            comp.order = members
-            for i, f in enumerate(members):
-                f._order_idx = i
-            return list(members)
-        return list(order)
-
-    def _comp_rebuild(
-        self, component: list[Flow], links: dict[str, _LinkState]
-    ) -> None:
-        """Register a freshly BFS-derived component (post-split)."""
-        comp = _Component(self.env, self._arm)
-        comp.region.mode = "classic"  # _recompute_component just armed timers
-        comp.order = list(component)
-        comp.live = len(component)
-        for i, f in enumerate(component):
-            f._comp = comp
-            f._order_idx = i
-            f._level_idx = None
-            if f.min_rate > 0.0 or f.rate_cap != float("inf"):
-                comp.n_unclean += 1
-            if f._macro is not None:
-                comp.n_macro += 1
-        comp.links = dict(links)
-        for st in links.values():
-            st.comp = comp
-
-    def _comp_dissolve(self, comp: "_Component") -> None:
-        """Drop the registry entry; a scoped BFS will re-derive parts."""
-        if comp.region.mode == "analytic":
-            self._materialize_analytic(comp)
-        self._epoch_barrier(comp)
-        comp.region.disarm()
-        # The parts re-derived by the BFS run classic; hand each member
-        # its conceptual completion instant as a real timer so elision
-        # keeps it rather than recomputing a possibly-1-ulp-off one.
-        self._materialize_timers(comp)
-        for st in comp.links.values():
-            if st.comp is comp:
-                st.comp = None
-        comp.links.clear()
-        for f in comp.order:
-            if f is not None:
-                f._comp = None
-                f._level_idx = None
-        comp.order.clear()
-        comp.live = 0
-        comp.cache = None
-
-    # -- timer-regime transitions ------------------------------------------
-    def _materialize_timers(self, comp: "_Component") -> None:
-        """Realize conceptual fast-regime instants as per-flow timers.
-
-        The armed instant is carried over bit-for-bit: re-deriving it
-        as ``now + remaining / rate`` can land one ulp away once the
-        lazy advances split the byte drain into a different float
-        subtraction chain, and the classic elision predicates only
-        keep a timer whose recorded instant matches exactly.
-        """
-        for f in comp.order:
-            if f is None or f._timer_seq == -1:
-                continue
-            f._timer_seq = -1
-            if f._timer is None and f._macro is None:
-                f._timer = self.env.schedule_at(
-                    f._timer_at, lambda g=f: self._on_timer(g)
-                )
-
-    def _enter_classic(self, comp: "_Component") -> None:
-        """Leave the comp-timer regime; per-flow timers take over.
-
-        Every armed conceptual instant becomes a real timer at the
-        same instant, so the ensuing _recompute_component elides it
-        exactly as a never-fast run would.
-        """
-        if comp.region.mode == "classic":
-            return
-        if comp.region.mode == "analytic":
-            self._materialize_analytic(comp)
-        self._epoch_barrier(comp)
-        comp.region.disarm()
-        self._materialize_timers(comp)
-        comp.region.mode = "classic"
-        comp.cache = None
-
-    def _enter_fast(self, comp: "_Component") -> None:
-        """Collapse per-flow timers into the single component timer.
-
-        An armed per-flow timer becomes a conceptual (instant, seq)
-        pair — the instant is kept bit-for-bit, the seq is re-based in
-        member order — and the handle is cancelled.
-        """
-        if comp.region.mode == "analytic":
-            self._materialize_analytic(comp)
-            return
-        if comp.region.mode != "classic":
-            return
-        for f in comp.order:
-            if f is None:
-                continue
-            if f._timer is not None:
-                f._timer.cancel()
-                f._timer = None
-                f._timer_seq = self._arm_seq()
-            else:
-                f._timer_seq = -1
-        comp.region.mode = "fast"
-
-    def _materialize_analytic(self, comp: "_Component") -> None:
-        """Settle every member's eager slots out of the service curve."""
-        region = comp.region
-        st = region.astate
-        if st is None:
-            if region.mode == "analytic":
-                region.mode = "fast"
-            return
-        self._touch_contention()
-        now = self.env.now
-        st.advance(now)
-        v = st.v
-        for f in comp.order:
-            if f is None or f._astate is not st:
-                continue
-            rem = f._v_done - v
-            f._remaining = rem if rem > 0.0 else 0.0
-            f._rate = st.rate
-            f._last_update = now
-            f._astate = None
-            f._timer_seq = -1
-        region.disarm()
-        region.astate = None
-        region.mode = "fast"
-        comp.cache = None
-
-    # -- component-scoped dispatch -----------------------------------------
-    def _comp_realloc(
-        self, comp: "_Component", trigger: str, changed: Flow, arrival: bool
-    ) -> None:
-        """Route one arrival/departure through the cheapest exact path.
-
-        Clean components (maxmin, no reservations/caps/macros, bus
-        detached) take the cached-waterfill fast path — or closed-form
-        analytic completion for single-link components under the
-        ``analytic`` allocator.  Everything else degrades to the
-        classic scoped pass, which is verbatim PR-2 behaviour.
-        """
-        clean = (
-            self.policy == "maxmin"
-            and comp.n_unclean == 0
-            and comp.n_macro == 0
-            and self.env.telemetry is None
-        )
-        if clean:
-            if self.allocator == "analytic" and len(comp.links) == 1:
-                self._analytic_realloc(comp, changed, arrival)
-            elif self.allocator == "epoch":
-                self._epoch_realloc(comp, changed, arrival)
-            else:
-                self._fast_realloc(comp, changed, arrival)
-            return
-        if arrival:
-            self._reallocate_scoped([changed], trigger, changed.flow_id)
-        else:
-            self._reallocate_scoped(
-                self._neighbors(changed), trigger, changed.flow_id
-            )
-
-    def _arm_seq(self) -> int:
-        return self._arm.next()
-
-    # -- fast regime: cached bottleneck levels, one component timer --------
-    def _fast_realloc(
-        self, comp: "_Component", changed: Flow, arrival: bool
-    ) -> None:
-        now = self.env.now
-        if comp.region.mode != "fast":
-            self._enter_fast(comp)
-        members = self._comp_members(comp)
-        self.realloc_count += 1
-        self.realloc_flows += len(members)
-        for f in members:
-            self._advance_flow(f, now)
-        levels = None
-        cache = comp.cache
-        if cache is not None:
-            scan = splice_scan(changed, cache, self._links, arrival)
-            if scan.j_star is not None:
-                levels = self._splice_fill(cache, scan, members, now)
-                self.cache_hits += 1
-        if levels is None:
-            self.cache_rebuilds += 1
-            for f in members:
-                f._level_idx = None
-            residual = {
-                lid: st.link.capacity for lid, st in comp.links.items()
-            }
-            levels = self._clean_fill(members, residual, 0, 0.0, now)
-        comp.cache = levels
-        self._arm_comp_timer(comp, members)
-
-    def _splice_fill(
-        self, cache: list, scan, members: list[Flow], now: float
-    ) -> list:
-        """Reuse levels below ``j*`` verbatim; recompute the rest."""
-        j = scan.j_star
-        self.levels_spliced += j
-        # Patch the reused levels' entry snapshots with the changed
-        # flow's new-population chains so future splices on its links
-        # resume from exact state.
-        for i, patch in enumerate(scan.history):
-            entry = cache[i].entry_residual
-            for lid, val in patch.items():
-                entry[lid] = val
-        # Resume residual: cached snapshot at pass j (absent when j is
-        # past the last cached level), overlaid with the replayed
-        # chains for the changed flow's links.
-        if j < len(cache):
-            residual = dict(cache[j].entry_residual)
-        else:
-            residual = {}
-        residual.update(scan.flink_residuals)
-        cum0 = cache[j - 1].cum if j > 0 else 0.0
-        unfrozen: list[Flow] = []
-        for f in members:
-            lvl = f._level_idx
-            if lvl is None or lvl >= j:
-                f._level_idx = None
-                unfrozen.append(f)
-            else:
-                # Spliced: rate provably unchanged.  Apply the classic
-                # elision decision anyway (a drained flow is re-armed
-                # for immediate completion exactly like classic would).
-                self._bind_fast(f, f._rate, now)
-        tail = self._clean_fill(unfrozen, residual, j, cum0, now)
-        return cache[:j] + tail
-
-    def _clean_fill(
-        self,
-        flows: list[Flow],
-        residual: dict[str, float],
-        start_index: int,
-        cum0: float,
-        now: float,
-    ) -> list:
-        """Progressive max-min fill over clean flows, recording levels.
-
-        Mirrors :meth:`_fill_maxmin` restricted to the clean case
-        (no reservations, no caps): identical delta arithmetic,
-        identical freeze predicate, identical accumulation order — the
-        shared ``cum`` prefix equals every per-flow accumulator because
-        all unfrozen flows receive the same adds in the same order.
-        """
-        levels: list = []
-        unfrozen = list(flows)  # compacted in place below
-        cum = cum0
-        idx = start_index
-        # A single-link component (the fan-in shape) needs no crossing
-        # dict: every member crosses the one link, so the count is
-        # len(unfrozen) and the subtraction chain runs on a local —
-        # the same floats in the same order, minus the dict traffic.
-        single = len(residual) == 1
-        for _ in range(len(flows) + 1):
-            if not unfrozen:
-                break
-            if single:
-                ((lid, res),) = residual.items()
-                count = len(unfrozen)
-                delta = res / count
-                entry = {lid: res}
-                if delta > _EPS:
-                    cum = cum + delta
-                    for _ in range(count):
-                        res -= delta
-                    residual[lid] = res
-                if res <= _EPS:
-                    frozen = unfrozen
-                    unfrozen = []
-                else:
-                    frozen = []
-            else:
-                crossing: dict[str, int] = {}
-                for f in unfrozen:
-                    for link in f.path:
-                        lid = link.link_id
-                        crossing[lid] = crossing.get(lid, 0) + 1
-                delta = min(
-                    residual[lid] / count
-                    for lid, count in crossing.items()
-                )
-                entry = dict(residual)
-                if delta > _EPS:
-                    cum = cum + delta
-                    for f in unfrozen:
-                        for link in f.path:
-                            residual[link.link_id] -= delta
-                write = 0
-                frozen = []
-                for f in unfrozen:
-                    for link in f.path:
-                        if residual[link.link_id] <= _EPS:
-                            frozen.append(f)
-                            break
-                    else:
-                        unfrozen[write] = f
-                        write += 1
-                del unfrozen[write:]
-            if not frozen:
-                # Terminal: loop exits with flows still unfrozen (no
-                # link crossed the epsilon).  Never spliced over.
-                level = Level(idx, delta, cum, entry, terminal=True)
-                level.members = list(unfrozen)
-                levels.append(level)
-                for f in unfrozen:
-                    f._level_idx = idx
-                    self._bind_fast(f, cum, now)
-                self.levels_recomputed += 1
-                return levels
-            level = Level(idx, delta, cum, entry)
-            level.members = frozen
-            levels.append(level)
-            self.levels_recomputed += 1
-            for f in frozen:
-                f._level_idx = idx
-                self._bind_fast(f, cum, now)
-            idx += 1
-        return levels
-
-    def _bind_fast(self, flow: Flow, new_rate: float, now: float) -> None:
-        """Apply a recomputed rate under the comp-timer regime.
-
-        Mirrors _recompute_component's two elision predicates and
-        _schedule_completion's arithmetic exactly, with "armed"
-        meaning ``_timer_seq != -1`` instead of a live handle, so the
-        conceptual (instant, seq) ordering matches what the per-flow
-        heap would contain bit-for-bit.
-        """
-        ledger = self._cur_ledger
-        if ledger is not None:
-            self._bind_epoch(flow, new_rate, now, ledger)
-            return
-        self._touch_contention()
-        armed = flow._timer_seq != -1
-        rem = flow._remaining
-        if (
-            new_rate == flow._rate
-            and rem > _EPS
-            and (armed or new_rate <= _EPS)
-        ):
-            self.timer_elisions += 1
-            return
-        if (
-            armed
-            and rem > _EPS
-            and new_rate > _EPS
-            and now + rem / new_rate == flow._timer_at
-        ):
-            flow._rate = new_rate
-            self.timer_elisions += 1
-            return
-        flow._rate = new_rate
-        self.timer_reschedules += 1
-        if rem <= _EPS:
-            flow._timer_at = now
-            flow._timer_seq = self._arm_seq()
-            return
-        if new_rate <= _EPS:
-            flow._timer_seq = -1  # starved
-            return
-        flow._timer_at = now + rem / new_rate
-        flow._timer_seq = self._arm_seq()
-
-    def _arm_comp_timer(
-        self, comp: "_Component", members: list[Flow]
-    ) -> None:
-        """(Re-)arm the single component timer at the earliest armed
-        conceptual instant; ties resolve by arming seq like the heap."""
-        best: Optional[Flow] = None
-        for f in members:
-            if f._timer_seq == -1:
-                continue
-            if best is None or (f._timer_at, f._timer_seq) < (
-                best._timer_at,
-                best._timer_seq,
-            ):
-                best = f
-        slot = comp.region.slot
-        if best is None:
-            slot.disarm()
-            return
-        slot.arm(
-            best._timer_at, best, lambda c=comp: self._on_comp_timer(c)
-        )
-
-    def _on_comp_timer(self, comp: "_Component") -> None:
-        slot = comp.region.slot
-        armed_at = slot.at
-        flow = slot.fired()
-        if (
-            comp.region.mode != "fast"
-            or flow is None
-            or flow._comp is not comp
-            or flow._timer_seq == -1
-            or flow._timer_at != armed_at
-        ):
-            return  # stale arming; a newer state superseded it
-        now = self.env.now
-        self._advance_flow(flow, now)
-        # Same float-drift guard as _on_timer.
-        threshold = max(1e-6, flow.size * 1e-12)
-        if flow._remaining > threshold:
-            rate = flow._rate
-            eta = flow._remaining / rate if rate > _EPS else float("inf")
-            if eta != float("inf") and now + eta > now:
-                flow._timer_at = now + eta
-                flow._timer_seq = self._arm_seq()
-                self._arm_comp_timer(comp, self._comp_members(comp))
-                return
-            if eta == float("inf"):
-                flow._timer_seq = -1  # starved
-                self._arm_comp_timer(comp, self._comp_members(comp))
-                return
-        if len(flow.path) == 1:
-            flow._remaining = 0.0
-            self._detach(flow)
-            flow.done.succeed(self._stats(flow))
-            if comp.live:
-                self._comp_realloc(comp, "finish", flow, arrival=False)
-        else:
-            neighbors = self._neighbors(flow)
-            flow._timer_seq = -1  # finishing here; no timer to carry over
-            self._comp_dissolve(comp)
-            flow._remaining = 0.0
-            self._detach(flow)
-            flow.done.succeed(self._stats(flow))
-            self._reallocate_scoped(neighbors, "finish", flow.flow_id)
-        bus = self.env.telemetry
-        if bus is not None:
-            # Bus attached mid-run: emit the finish even though the
-            # fast regime published no rate epochs for this flow.
-            bus.publish(FlowFinished(
-                t=self.env.now,
-                flow_id=flow.flow_id,
-                tag=flow.tag,
-                size=flow.size,
-                links=tuple(link.link_id for link in flow.path),
-                src=flow.path[0].src,
-                dst=flow.path[-1].dst,
-                started_at=flow.started_at,
-                owner=flow.owner,
-            ))
-
-    # -- epoch regime: deferred advances, heap completions, no-dissolve ----
-    def _epoch_realloc(
-        self, comp: "_Component", changed: Flow, arrival: bool
-    ) -> None:
-        """Clean-component reallocation with deferred member advances.
-
-        Identical rate computation to :meth:`_fast_realloc` (same
-        splice scan, same fill, same elision predicates), but instead
-        of advancing every member's ``remaining`` at every event
-        (Θ(members), the eager fast regime's per-event cost), the event
-        becomes one recorded ledger boundary.  A member's subtraction
-        chain is replayed — same floats, same order — only when it is
-        actually observed: at its own completion, a rate change, or a
-        barrier.  Per-event cost drops to O(changed members + log n).
-        """
-        now = self.env.now
-        region = comp.region
-        if region.mode != "fast":
-            self._enter_fast(comp)
-        self.realloc_count += 1
-        self.realloc_flows += comp.live
-        ledger = region.ledger
-        if ledger is not None and ledger.epochs >= _LEDGER_MAX_EPOCHS:
-            # Bound replay-chain length (float-error budget of the
-            # elision guard) and ledger memory.
-            self._epoch_barrier(comp)
-            ledger = None
-        if ledger is not None:
-            if ledger.bounds[-1] != now:
-                # Same-instant events collapse into one epoch: the
-                # eager advance at the second event has elapsed == 0
-                # and is a no-op for both chains and byte credits.
-                self.epoch_boundaries += 1
-                ledger.boundary(now, None)
-            if changed._eled is None and changed.flow_id in self._flows:
-                # Arrival: the new member's chain starts at this epoch
-                # (its initial rate is set by the fill below).
-                ledger.join(changed, ledger.epochs, changed._rate)
-            cache = comp.cache
-            scan = (
-                splice_scan(changed, cache, self._links, arrival)
-                if cache is not None else None
-            )
-            self._cur_ledger = ledger
-            try:
-                if scan is not None and scan.j_star is not None:
-                    # Bucket splice: only tail-level members are
-                    # visited, so the whole event costs O(tail) —
-                    # independent of component size.  Spliced members'
-                    # rates are provably unchanged; their eager elision
-                    # decisions are no-ops skipped wholesale.
-                    levels = self._epoch_splice_fill(
-                        comp, cache, scan, changed, arrival, now
-                    )
-                    self.cache_hits += 1
-                else:
-                    members = self._comp_members(comp)
-                    self.cache_rebuilds += 1
-                    for f in members:
-                        f._level_idx = None
-                    residual = {
-                        lid: st.link.capacity
-                        for lid, st in comp.links.items()
-                    }
-                    levels = self._clean_fill(members, residual, 0, 0.0, now)
-            finally:
-                self._cur_ledger = None
-            comp.cache = levels
-            self._arm_epoch_timer(comp)
-            return
-        # (Re)enter the deferred regime: one eager catch-up, then
-        # boundaries replace the per-member advances.
-        members = self._comp_members(comp)
-        for f in members:
-            self._advance_flow(f, now)
-        ledger = region.start_ledger(now, self._epoch_credit)
-        for f in members:
-            ledger.join(f, 0, f._rate)
-            if f._timer_seq != -1:
-                region.push_completion(f)
-        levels = None
-        self._cur_ledger = ledger
-        try:
-            cache = comp.cache
-            if cache is not None:
-                scan = splice_scan(changed, cache, self._links, arrival)
-                if scan.j_star is not None:
-                    levels = self._splice_fill(cache, scan, members, now)
-                    self.cache_hits += 1
-            if levels is None:
-                self.cache_rebuilds += 1
-                for f in members:
-                    f._level_idx = None
-                residual = {
-                    lid: st.link.capacity for lid, st in comp.links.items()
-                }
-                levels = self._clean_fill(members, residual, 0, 0.0, now)
-        finally:
-            self._cur_ledger = None
-        comp.cache = levels
-        self._arm_epoch_timer(comp)
-
-    def _epoch_splice_fill(
-        self,
-        comp: "_Component",
-        cache: list,
-        scan,
-        changed: Flow,
-        arrival: bool,
-        now: float,
-    ) -> list:
-        """Splice via per-level member buckets; only the tail is visited.
-
-        The eager :meth:`_splice_fill` partitions the full member list
-        to find the flows at levels ``>= j*`` — Θ(members) even when
-        the tail is one flow.  Here the reused levels' buckets are
-        simply kept (their members' rates are provably unchanged, so
-        the eager bind would elide with no state change) and the tail
-        flows come from the tail levels' buckets, filtered for
-        staleness and re-sorted into arrival order so the recomputed
-        fill runs the same float chains on the same sequence the eager
-        partition would have produced.
-        """
-        j = scan.j_star
-        self.levels_spliced += j
-        for i, patch in enumerate(scan.history):
-            entry = cache[i].entry_residual
-            for lid, val in patch.items():
-                entry[lid] = val
-        if j < len(cache):
-            residual = dict(cache[j].entry_residual)
-        else:
-            residual = {}
-        residual.update(scan.flink_residuals)
-        cum0 = cache[j - 1].cum if j > 0 else 0.0
-        unfrozen: list[Flow] = []
-        for level in cache[j:]:
-            idx = level.index
-            for f in level.members:
-                # Stale bucket entries: departed (comp cleared) or
-                # re-frozen at another level since recording.
-                if f._comp is comp and f._level_idx == idx:
-                    f._level_idx = None
-                    unfrozen.append(f)
-        if arrival and changed._level_idx is None and changed._comp is comp:
-            unfrozen.append(changed)
-        unfrozen.sort(key=_flow_order)
-        # The skipped spliced members' eager binds are all elisions.
-        self.timer_elisions += max(0, comp.live - len(unfrozen))
-        tail = self._clean_fill(unfrozen, residual, j, cum0, now)
-        return cache[:j] + tail
-
-    def _bind_epoch(
-        self, flow: Flow, new_rate: float, now: float, ledger: EpochLedger
-    ) -> None:
-        """Epoch-regime twin of :meth:`_bind_fast`.
-
-        The elision decisions must match the eager regime bit-for-bit,
-        but settling a member just to decide "unchanged, keep timer"
-        would reintroduce the Θ(members) cost.  Two guards elide
-        *without* settling, each with a proof the eager predicate would
-        agree:
-
-        * armed, rate unchanged, and ``rate * (timer_at - now)`` is
-          more than one byte — the settled remaining equals that
-          analytic value up to chain rounding (≤ epochs × size-ulp,
-          orders of magnitude under a byte), so the eager
-          ``remaining > _EPS`` check cannot disagree;
-        * starved (rate 0): zero-rate epochs leave the chain untouched
-          (``elapsed > 0 and rate > 0`` guards every term), so the
-          stale remaining *is* the exact eager value.
-
-        Anything else settles the member's chain first and then applies
-        the verbatim predicates on exact state.
-        """
-        self._touch_contention()
-        armed = flow._timer_seq != -1
-        if new_rate == flow._rate:
-            if armed and new_rate * (flow._timer_at - now) > 1.0:
-                self.timer_elisions += 1
-                return
-            if not armed and new_rate <= _EPS and flow._remaining > _EPS:
-                self.timer_elisions += 1
-                return
-        ledger.settle_member(flow)
-        rem = flow._remaining
-        if (
-            new_rate == flow._rate
-            and rem > _EPS
-            and (armed or new_rate <= _EPS)
-        ):
-            self.timer_elisions += 1
-            return
-        if (
-            armed
-            and rem > _EPS
-            and new_rate > _EPS
-            and now + rem / new_rate == flow._timer_at
-        ):
-            flow._rate = new_rate
-            ledger.set_rate(flow, ledger.epochs, new_rate)
-            self.timer_elisions += 1
-            return
-        flow._rate = new_rate
-        ledger.set_rate(flow, ledger.epochs, new_rate)
-        self.timer_reschedules += 1
-        if rem <= _EPS:
-            flow._timer_at = now
-            flow._timer_seq = self._arm_seq()
-            flow._comp.region.push_completion(flow)
-            return
-        if new_rate <= _EPS:
-            flow._timer_seq = -1  # starved
-            return
-        flow._timer_at = now + rem / new_rate
-        flow._timer_seq = self._arm_seq()
-        flow._comp.region.push_completion(flow)
-
-    def _arm_epoch_timer(self, comp: "_Component") -> None:
-        """Arm the slot at the completion heap's live head (O(log n))."""
-        region = comp.region
-        entry = region.pop_earliest(
-            lambda f: f._comp is comp and not f.done.triggered
-        )
-        if entry is None:
-            region.slot.disarm()
-            return
-        at, _seq, flow = entry
-        region.slot.arm(at, flow, lambda c=comp: self._on_epoch_timer(c))
-
-    def _on_epoch_timer(self, comp: "_Component") -> None:
-        region = comp.region
-        slot = region.slot
-        armed_at = slot.at
-        flow = slot.fired()
-        if (
-            region.mode != "fast"
-            or flow is None
-            or flow._comp is not comp
-            or flow._timer_seq == -1
-            or flow._timer_at != armed_at
-            or flow.done.triggered
-        ):
-            return  # stale arming; a newer state superseded it
-        now = self.env.now
-        ledger = region.ledger
-        if ledger is not None:
-            # Settle the due member's chain through the last boundary,
-            # then apply the final [boundary, now] step without
-            # committing — the drift guard below may reject it.
-            ledger.settle_member(flow)
-            rem = flow._remaining
-            rate = flow._rate
-            elapsed = now - ledger.bounds[-1]
-            if elapsed > 0 and rate > 0:
-                rem = rem - min(rem, rate * elapsed)
-        else:
-            # Post-barrier firing: the conceptual instant survived a
-            # settle; eager state is current.
-            self._advance_flow(flow, now)
-            rem = flow._remaining
-        # Same float-drift guard as _on_timer / _on_comp_timer.
-        threshold = max(1e-6, flow.size * 1e-12)
-        if rem > threshold:
-            # Rare drift re-arm: the eager world advances only this
-            # member here (outside the uniform cadence), so restore
-            # full eager state first.
-            self._epoch_barrier(comp)
-            self._advance_flow(flow, now)
-            rate = flow._rate
-            eta = flow._remaining / rate if rate > _EPS else float("inf")
-            if eta != float("inf") and now + eta > now:
-                flow._timer_at = now + eta
-                flow._timer_seq = self._arm_seq()
-                self._arm_comp_timer(comp, self._comp_members(comp))
-                return
-            if eta == float("inf"):
-                flow._timer_seq = -1  # starved
-                self._arm_comp_timer(comp, self._comp_members(comp))
-                return
-            # Finite eta that cannot advance the clock: the eager
-            # handlers fall through to completion here, so we must
-            # too — stranding the flow as "starved" would leave it
-            # unarmed forever at a positive rate.  The barrier above
-            # already dropped the ledger; don't replay it below.
-            ledger = None
-            rem = flow._remaining
-        if ledger is not None:
-            # Commit the completion boundary; the due member advances
-            # first at it, exactly like the eager completion handler.
-            self.epoch_boundaries += 1
-            e_new = ledger.boundary(now, flow)
-            flow._remaining = rem
-            flow._eidx = e_new
-            ledger.depart(flow, e_new)
-            flow._last_update = now
-        # Multi-link no-dissolve check: if at most one of the departed
-        # flow's links still carries other flows, every neighbour stays
-        # connected through that link and the component cannot split —
-        # the dissolve + BFS re-derivation (the eager regime's
-        # Θ(component) departure cost) is provably unnecessary.
-        links_with_others = 0
-        for link in flow.path:
-            st = self._links[link.link_id]
-            n = len(st.flows)
-            if flow.flow_id in st.flows:
-                n -= 1
-            if n:
-                links_with_others += 1
-        if links_with_others <= 1:
-            flow._remaining = 0.0
-            self._detach(flow)
-            flow.done.succeed(self._stats(flow))
-            if comp.live:
-                self._comp_realloc(comp, "finish", flow, arrival=False)
-        else:
-            neighbors = self._neighbors(flow)
-            flow._timer_seq = -1  # finishing here; no timer to carry over
-            self._comp_dissolve(comp)  # barriers the ledger internally
-            flow._remaining = 0.0
-            self._detach(flow)
-            flow.done.succeed(self._stats(flow))
-            self._reallocate_scoped(neighbors, "finish", flow.flow_id)
-        bus = self.env.telemetry
-        if bus is not None:
-            # Bus attached mid-run: emit the finish even though the
-            # epoch regime published no rate epochs for this flow.
-            bus.publish(FlowFinished(
-                t=self.env.now,
-                flow_id=flow.flow_id,
-                tag=flow.tag,
-                size=flow.size,
-                links=tuple(link.link_id for link in flow.path),
-                src=flow.path[0].src,
-                dst=flow.path[-1].dst,
-                started_at=flow.started_at,
-                owner=flow.owner,
-            ))
-
-    def _epoch_barrier(self, comp: "_Component") -> None:
-        """Materialize full eager state out of the deferred ledger.
-
-        Settles every member's subtraction chain, replays the shared
-        per-link byte accumulators in exact eager order, and drops the
-        ledger.  No-op when the component has none.  The slot timer and
-        conceptual (instant, seq) armings survive — they are
-        eager-exact by construction.
-        """
-        region = comp.region
-        ledger = region.ledger
-        if ledger is None:
-            return
-        self.epoch_settles += 1
-        last = ledger.bounds[-1]
-        for m in ledger.members:
-            if m._eled is ledger:
-                ledger.settle_member(m)
-                m._last_update = last
-        ledger.replay_bytes()
-        region.drop_ledger()
-
-    def _epoch_credit(self, flow: Flow, moved: float) -> None:
-        """Byte-credit callback for ledger replay (eager add order)."""
-        for link in flow.path:
-            self._links[link.link_id].bytes_carried += moved
-
-    # -- analytic regime: shared service curve, heap completions ----------
-    def _analytic_realloc(
-        self, comp: "_Component", changed: Flow, arrival: bool
-    ) -> None:
-        now = self.env.now
-        self.realloc_count += 1
-        self.realloc_flows += comp.live
-        self.analytic_events += 1
-        self._touch_contention()
-        st = comp.region.astate
-        if comp.region.mode != "analytic" or st is None:
-            self._enter_analytic(comp)
-            self._arm_analytic_timer(comp, comp.region.astate)
-            return
-        st.advance(now)
-        if arrival:
-            st.join(changed, changed._remaining)
-        else:
-            # The departed member was already settled and detached;
-            # its heap entry lazy-deletes.
-            st.count -= 1
-        st.recompute_rate()
-        self._arm_analytic_timer(comp, st)
-
-    def _enter_analytic(self, comp: "_Component") -> None:
-        """Move a clean single-link component onto the service curve."""
-        self._touch_contention()
-        now = self.env.now
-        if comp.region.mode == "classic":
-            self._enter_fast(comp)
-        members = self._comp_members(comp)
-        for f in members:
-            self._advance_flow(f, now)
-        comp.region.disarm()
-        (link_state,) = comp.links.values()
-        st = AnalyticState(self.env, link_state)
-        st.last_t = now
-        for f in members:
-            f._timer_seq = -1
-            st.join(f, f._remaining)
-        st.recompute_rate()
-        comp.region.astate = st
-        comp.region.mode = "analytic"
-        comp.cache = None
-
-    def _arm_analytic_timer(self, comp: "_Component", st) -> None:
-        entry = st.front() if st is not None else None
-        slot = comp.region.slot
-        if entry is None or st.rate <= 0.0:
-            slot.disarm()
-            return
-        t_done = st.last_t + (entry[0] - st.v) / st.rate
-        now = self.env.now
-        if t_done < now:
-            t_done = now  # service-curve division rounded below now
-        flow = entry[3]
-        slot.arm(t_done, flow, lambda c=comp: self._on_analytic_timer(c))
-
-    def _on_analytic_timer(self, comp: "_Component") -> None:
-        due = comp.region.slot.fired()
-        st = comp.region.astate
-        if comp.region.mode != "analytic" or st is None:
-            return
-        self._touch_contention()
-        now = self.env.now
-        st.advance(now)
-        entry = st.front()
-        if entry is None:
-            return
-        flow = entry[3]
-        if due is not flow:
-            self._arm_analytic_timer(comp, st)
-            return
-        # The armed instant is authoritative (the service curve may
-        # land an ulp short of the heap target), matching the classic
-        # drift guard's treatment of microbyte residuals.
-        heapq.heappop(st.heap)
-        st.count -= 1
-        flow._astate = None
-        flow._remaining = 0.0
-        self._detach(flow)
-        flow.done.succeed(self._stats(flow))
-        if comp.live:
-            self.realloc_count += 1
-            self.realloc_flows += comp.live
-            self.analytic_events += 1
-            st.recompute_rate()
-            self._arm_analytic_timer(comp, st)
 
     # -- internals -----------------------------------------------------------
     def _detach(self, flow: Flow) -> None:
@@ -2447,61 +1125,7 @@ class FlowNetwork:
         if flow._timer is not None:
             flow._timer.cancel()
             flow._timer = None
-        flow._rate = 0.0
-        flow._timer_seq = -1
-        flow._astate = None
-        comp = flow._comp
-        if comp is None:
-            return
-        flow._comp = None
-        # _level_idx is deliberately kept: the ensuing departure splice
-        # scan reads the departed flow's freeze level, and a detached
-        # flow is never re-attached.
-        # Tombstone in the ordered member list; compact lazily.
-        idx = flow._order_idx
-        if 0 <= idx < len(comp.order) and comp.order[idx] is flow:
-            comp.order[idx] = None
-        else:  # order_dirty re-sorts invalidated the index
-            for i, f in enumerate(comp.order):
-                if f is flow:
-                    comp.order[i] = None
-                    break
-        comp.live -= 1
-        if flow.min_rate > 0.0 or flow.rate_cap != float("inf"):
-            comp.n_unclean -= 1
-        # The level cache survives the detach: the ensuing departure
-        # realloc runs the splice scan against it (and every detach is
-        # followed by a realloc or a dissolve).
-        if comp.live <= 0:
-            # Flush any deferred byte credits (the departed members'
-            # ledger chains) before the registry entry is dropped.
-            self._epoch_barrier(comp)
-            comp.region.disarm()
-            for st in comp.links.values():
-                if st.comp is comp:
-                    st.comp = None
-            comp.links.clear()
-            comp.order.clear()
-            comp.region.astate = None
-            return
-        for link in flow.path:
-            st = self._links.get(link.link_id)
-            if st is not None and st.comp is comp and not st.flows:
-                if comp.region.ledger is not None:
-                    # The ledger still defers this link's byte credits;
-                    # leave a pointer so a later bytes_carried query can
-                    # flush them.  At most one such component per link:
-                    # flush any previous one now (rare — the link must
-                    # empty under two distinct ledgered components with
-                    # no query in between).
-                    prev = st.epoch_comp
-                    if prev is not None and prev is not comp:
-                        self._epoch_barrier(prev)
-                    st.epoch_comp = comp
-                st.comp = None
-                comp.links.pop(link.link_id, None)
-        if len(comp.order) > 64 and len(comp.order) > 2 * comp.live:
-            self._comp_members(comp)
+        flow.rate = 0.0
 
     def _schedule_completion(self, flow: Flow) -> None:
         if flow._macro is not None:
@@ -2516,10 +1140,7 @@ class FlowNetwork:
             flow._timer_at = self.env.now
             return
         if flow.rate <= _EPS:
-            # Starved; will be rescheduled on the next change.  The
-            # fast regime relies on "disarmed => seq == -1".
-            flow._timer_seq = -1
-            return
+            return  # starved; rescheduled on the next rate change
         eta = flow.remaining / flow.rate
         flow._timer = self.env.schedule(eta, lambda f=flow: self._on_timer(f))
         flow._timer_at = self.env.now + eta
@@ -2529,10 +1150,7 @@ class FlowNetwork:
         if flow.done.triggered or flow.flow_id not in self._flows:
             return
         now = self.env.now
-        if self.allocator == "legacy":
-            self._advance_all()
-        else:
-            self._advance_flow(flow, now)
+        self._advance_flow(flow, now)
         # Float-drift guard: a microbyte of residual is "done"; likewise
         # finish when the residual is too small for the clock to advance
         # (now + eta == now), or the timer would loop at one timestamp.
@@ -2549,25 +1167,13 @@ class FlowNetwork:
                 return
             if eta == float("inf"):
                 return  # starved; rescheduled on the next rate change
-        if self.allocator == "legacy":
-            flow.remaining = 0.0
-            self._detach(flow)
-            flow.done.succeed(self._stats(flow))
-            self._reallocate_legacy("finish", flow.flow_id)
-        else:
-            neighbors = self._neighbors(flow)
-            if (
-                self._use_components
-                and flow._comp is not None
-                and len(flow.path) > 1
-            ):
-                # A multi-link departure can split its component; the
-                # scoped pass re-derives the exact parts by BFS.
-                self._comp_dissolve(flow._comp)
-            flow.remaining = 0.0
-            self._detach(flow)
-            flow.done.succeed(self._stats(flow))
-            self._reallocate_scoped(neighbors, "finish", flow.flow_id)
+        # A departure can split its component; the scoped pass seeded
+        # with the neighbours re-derives the exact parts by BFS.
+        neighbors = self._neighbors(flow)
+        flow.remaining = 0.0
+        self._detach(flow)
+        flow.done.succeed(self._stats(flow))
+        self._reallocate_scoped(neighbors, "finish", flow.flow_id)
         bus = self.env.telemetry
         if bus is not None:
             bus.publish(FlowFinished(
@@ -2600,10 +1206,9 @@ class FlowNetwork:
         """Rates for *flows* (arrival-ordered) over *links*.
 
         *links* restricts the residual bookkeeping to the links the
-        component actually crosses; the legacy allocator passes every
-        registered link (its original cost model).  *now* overrides the
-        SLO-slack reference instant — macro-flow schedule replay asks
-        for rates at virtual future batch starts.
+        component actually crosses.  *now* overrides the SLO-slack
+        reference instant — macro-flow schedule replay asks for rates
+        at virtual future batch starts.
         """
         if not flows:
             return {}

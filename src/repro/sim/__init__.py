@@ -10,7 +10,6 @@ from repro.sim.core import (
     ScheduledCall,
     Timeout,
 )
-from repro.sim.epoch import ArmSequencer, EpochLedger, EpochRegion, TimerSlot
 from repro.sim.resources import Container, Request, Resource, Store
 
 __all__ = [
@@ -22,10 +21,6 @@ __all__ = [
     "Process",
     "ScheduledCall",
     "Timeout",
-    "ArmSequencer",
-    "EpochLedger",
-    "EpochRegion",
-    "TimerSlot",
     "Container",
     "Request",
     "Resource",

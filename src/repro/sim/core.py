@@ -52,8 +52,8 @@ class ScheduledCall:
         self.call: Optional[Callable[[], None]] = call
         self.cancelled = False
         # Absolute fire instant, stamped by schedule()/schedule_at().
-        # Region-aware timer consumers (repro.sim.epoch.TimerSlot) read
-        # this to elide re-arms without parallel bookkeeping.
+        # Timer owners (the network's macro-flow timer) read this to
+        # elide a re-arm at the instant already armed.
         self.when = 0.0
 
     def cancel(self) -> None:

@@ -158,7 +158,7 @@ class TimeSeriesStore:
     - ``pool.in_use.<device>`` / ``pool.reserved.<device>`` — bytes
     - ``replica.outstanding.<replica>`` — in-flight invocations
     - ``net.virtual_replays`` — cumulative virtual-timestamp events
-      observed (macro/epoch fast-path engagement indicator)
+      observed (macro-flow coalescing engagement indicator)
     """
 
     def __init__(self, capacity: int = DEFAULT_SERIES_CAPACITY) -> None:

@@ -14,7 +14,7 @@ def quick_document():
     return run_benchmarks(
         quick=True,
         names=["flow_churn"],
-        allocators=("incremental", "legacy"),
+        allocators=("incremental", "fullscan"),
     )
 
 
@@ -22,7 +22,7 @@ class TestBenchLibrary:
     def test_registry_names(self):
         assert set(BENCHMARKS) == {
             "flow_churn", "fanin_hotspot", "multipath_chunk_storm",
-            "transfer_storm", "fanin_scaling", "component_storm",
+            "transfer_storm",
         }
 
     def test_document_shape(self, quick_document):
@@ -36,38 +36,34 @@ class TestBenchLibrary:
             "realloc_count", "mean_component_size", "wall_s",
         ):
             assert key in run
-        assert "flow_churn" in doc["speedup_incremental_over_legacy"]
 
     def test_event_counts_match_across_allocators(self, quick_document):
-        # Both allocators must process the same workload: identical
-        # flow-event counts, differing only in wall-clock.
+        # Both allocators must process the same workload with the same
+        # component-scoped semantics, differing only in wall-clock.
         by_alloc = {
             run["allocator"]: run for run in quick_document["benchmarks"]
         }
-        assert (
-            by_alloc["incremental"]["flow_events"]
-            == by_alloc["legacy"]["flow_events"]
-        )
+        for key in ("flow_events", "realloc_count", "mean_component_size",
+                    "timer_reschedules", "timer_elisions", "sim_time"):
+            assert by_alloc["incremental"][key] == by_alloc["fullscan"][key]
 
     def test_component_scoping_visible_in_metrics(self, quick_document):
-        # 8 disjoint components: incremental recomputes far fewer flows
-        # per event than the global allocator.
-        by_alloc = {
-            run["allocator"]: run for run in quick_document["benchmarks"]
-        }
-        assert (
-            by_alloc["incremental"]["mean_component_size"]
-            < by_alloc["legacy"]["mean_component_size"] / 2
+        # 8 disjoint components: each recompute covers one link's flows,
+        # never the whole population.
+        run = quick_document["benchmarks"][0]
+        config = run["config"]
+        assert run["mean_component_size"] <= (
+            config["flows"] / config["components"]
         )
 
     def test_unknown_benchmark_rejected(self):
         with pytest.raises(ValueError, match="unknown benchmark"):
             run_benchmarks(names=["nope"])
 
-    def test_summary_mentions_speedup(self, quick_document):
-        text = format_summary(quick_document)
-        assert "flow_churn" in text
-        assert "speedup[flow_churn]" in text
+    def test_summary_lists_every_run(self, quick_document):
+        lines = format_summary(quick_document).splitlines()
+        assert any("flow_churn" in ln and "incremental" in ln for ln in lines)
+        assert any("flow_churn" in ln and "fullscan" in ln for ln in lines)
 
     def test_transfer_storm_compares_modes(self):
         doc = run_benchmarks(
@@ -98,8 +94,7 @@ class TestBenchCommand:
         doc = json.loads(out.read_text())
         assert doc["generated_by"] == "repro bench"
         assert [run["name"] for run in doc["benchmarks"]] == ["flow_churn"]
-        # Single-allocator runs have no speedup pairs.
-        assert doc["speedup_incremental_over_legacy"] == {}
+        assert doc["modes"]["allocator"] == "incremental"
         assert "flow_churn" in capsys.readouterr().out
 
     def test_unknown_benchmark_exits_2(self, tmp_path, capsys):

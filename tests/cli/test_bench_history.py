@@ -22,9 +22,8 @@ NET_DOC = {
     "benchmarks": [
         {"name": "flow_churn", "allocator": "incremental",
          "events_per_sec": 50_000.0},
-        {"name": "fanin_scaling", "allocator": "incremental",
-         "rows": [{"flows": 8, "per_event_us": 2.0},
-                  {"flows": 64, "per_event_us": 3.5}]},
+        {"name": "fanin_hotspot", "allocator": "fullscan",
+         "events_per_sec": 20_000.0},
     ],
 }
 
@@ -47,12 +46,11 @@ ENDTOEND_DOC = {
 
 
 class TestExtractMetrics:
-    def test_net_flat_and_rows(self):
+    def test_net_per_allocator(self):
         metrics = extract_metrics("net", NET_DOC)
         assert metrics == {
             "flow_churn/incremental.events_per_sec": 50_000.0,
-            "fanin_scaling/incremental/flows8.per_event_us": 2.0,
-            "fanin_scaling/incremental/flows64.per_event_us": 3.5,
+            "fanin_hotspot/fullscan.events_per_sec": 20_000.0,
         }
 
     def test_telemetry_modes_and_overhead(self):
@@ -119,8 +117,8 @@ class TestRecords:
 
 
 class TestCompare:
-    def previous(self, **metrics):
-        record = make_record("net", NET_DOC, recorded_at="prev")
+    def previous(self, suite="net", document=NET_DOC, **metrics):
+        record = make_record(suite, document, recorded_at="prev")
         record["metrics"] = {**record["metrics"], **metrics}
         return record
 
@@ -150,25 +148,27 @@ class TestCompare:
         )
         assert "REGRESSED" in format_compare(result)
 
-    def test_latency_rise_regresses(self):
-        # per_event_us is lower-is-better: it doubled -> regression.
-        previous = self.previous(**{
-            "fanin_scaling/incremental/flows8.per_event_us": 1.0,
+    def test_memory_rise_regresses(self):
+        # peak_rss_bytes is lower-is-better: it doubled -> regression.
+        previous = self.previous("endtoend", ENDTOEND_DOC, **{
+            "request_storm.peak_rss_bytes": 5_000_000,
         })
-        result = compare_records(make_record("net", NET_DOC), previous)
-        assert "fanin_scaling/incremental/flows8.per_event_us" in (
-            result["regressions"]
+        result = compare_records(
+            make_record("endtoend", ENDTOEND_DOC), previous
         )
+        assert result["regressions"] == ["request_storm.peak_rss_bytes"]
 
     def test_improvement_direction(self):
-        previous = self.previous(**{
-            "flow_churn/incremental.events_per_sec": 25_000.0,  # doubled
-            "fanin_scaling/incremental/flows8.per_event_us": 4.0,  # halved
+        previous = self.previous("endtoend", ENDTOEND_DOC, **{
+            "request_storm.requests_per_sec": 60.0,  # doubled
+            "request_storm.peak_rss_bytes": 20_000_000,  # halved
         })
-        result = compare_records(make_record("net", NET_DOC), previous)
+        result = compare_records(
+            make_record("endtoend", ENDTOEND_DOC), previous
+        )
         assert set(result["improvements"]) == {
-            "flow_churn/incremental.events_per_sec",
-            "fanin_scaling/incremental/flows8.per_event_us",
+            "request_storm.requests_per_sec",
+            "request_storm.peak_rss_bytes",
         }
         assert result["regressions"] == []
 

@@ -96,7 +96,7 @@ class TestRoutingBenchCommand:
     def test_allocators_flag_rejected(self, tmp_path, capsys):
         code = main([
             "bench", "--suite", "routing", "--quick",
-            "--allocators", "legacy",
+            "--allocators", "fullscan",
             "--out", str(tmp_path / "b.json"),
         ])
         assert code == 2

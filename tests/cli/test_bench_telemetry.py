@@ -95,7 +95,7 @@ class TestTelemetryBenchCommand:
     def test_allocators_flag_rejected(self, tmp_path, capsys):
         code = main([
             "bench", "--suite", "telemetry", "--quick",
-            "--allocators", "legacy",
+            "--allocators", "fullscan",
             "--out", str(tmp_path / "b.json"),
         ])
         assert code == 2

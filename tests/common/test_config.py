@@ -4,13 +4,11 @@ import pytest
 
 from repro.common.config import (
     ENV_NET_ALLOCATOR,
-    ENV_NET_EPOCH,
     ENV_NET_TRANSFER,
     NET_ALLOCATORS,
     NET_TRANSFER_MODES,
     mode_metadata,
     net_allocator,
-    net_epoch_enabled,
     net_transfer_mode,
     resolve_mode,
 )
@@ -19,15 +17,15 @@ from repro.common.errors import ConfigError, ReproError
 
 @pytest.fixture(autouse=True)
 def _clean_env(monkeypatch):
-    for var in (ENV_NET_ALLOCATOR, ENV_NET_TRANSFER, ENV_NET_EPOCH):
+    for var in (ENV_NET_ALLOCATOR, ENV_NET_TRANSFER):
         monkeypatch.delenv(var, raising=False)
 
 
 def test_precedence_kwarg_beats_env_beats_default(monkeypatch):
     assert net_allocator() == "incremental"
-    monkeypatch.setenv(ENV_NET_ALLOCATOR, "legacy")
-    assert net_allocator() == "legacy"
-    assert net_allocator("fullscan") == "fullscan"  # kwarg wins
+    monkeypatch.setenv(ENV_NET_ALLOCATOR, "fullscan")
+    assert net_allocator() == "fullscan"
+    assert net_allocator("incremental") == "incremental"  # kwarg wins
 
 
 def test_unknown_values_raise_config_error(monkeypatch):
@@ -46,30 +44,15 @@ def test_config_error_is_a_repro_error():
     assert issubclass(ConfigError, ReproError)
 
 
-def test_epoch_flag_flips_default_allocator(monkeypatch):
-    monkeypatch.setenv(ENV_NET_EPOCH, "1")
-    assert net_epoch_enabled() is True
-    assert net_allocator() == "epoch"
-    # An explicit allocator still wins over the flag.
-    monkeypatch.setenv(ENV_NET_ALLOCATOR, "incremental")
-    assert net_allocator() == "incremental"
-    assert net_allocator("legacy") == "legacy"
+def test_allocators_are_incremental_and_fullscan():
+    assert NET_ALLOCATORS == ("incremental", "fullscan")
 
 
-@pytest.mark.parametrize("raw,expected", [
-    ("1", True), ("true", True), ("YES", True), ("on", True),
-    ("0", False), ("false", False), ("no", False), ("off", False),
-    ("", False),
-])
-def test_epoch_flag_boolean_spellings(monkeypatch, raw, expected):
-    monkeypatch.setenv(ENV_NET_EPOCH, raw)
-    assert net_epoch_enabled() is expected
-
-
-def test_epoch_flag_rejects_garbage(monkeypatch):
-    monkeypatch.setenv(ENV_NET_EPOCH, "maybe")
-    with pytest.raises(ConfigError, match="unknown boolean"):
-        net_epoch_enabled()
+@pytest.mark.parametrize("retired", "epoch legacy analytic".split())
+def test_retired_allocators_raise_config_error(monkeypatch, retired):
+    monkeypatch.setenv(ENV_NET_ALLOCATOR, retired)
+    with pytest.raises(ConfigError, match="valid: incremental, fullscan"):
+        net_allocator()
 
 
 def test_resolve_mode_reports_source(monkeypatch):
@@ -86,18 +69,16 @@ def test_mode_metadata_resolves_and_accepts_overrides(monkeypatch):
     assert mode_metadata() == {
         "allocator": "incremental",
         "transfer_mode": "coalesced",
-        "epoch": False,
         "routing": "book",
     }
-    monkeypatch.setenv(ENV_NET_ALLOCATOR, "epoch")
-    assert mode_metadata()["epoch"] is True
+    monkeypatch.setenv(ENV_NET_ALLOCATOR, "fullscan")
+    assert mode_metadata()["allocator"] == "fullscan"
     meta = mode_metadata(
-        allocator="legacy", transfer="per_batch", routing="enumerate"
+        allocator="incremental", transfer="per_batch", routing="enumerate"
     )
     assert meta == {
-        "allocator": "legacy",
+        "allocator": "incremental",
         "transfer_mode": "per_batch",
-        "epoch": False,
         "routing": "enumerate",
     }
 

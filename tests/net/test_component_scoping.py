@@ -59,15 +59,13 @@ class TestDisjointComponents:
         la, lb = _link("a", "s0", "d0"), _link("b", "s1", "d1")
         fa = net.start_flow([la], 50 * MB)  # finishes at t=0.5
         fb = net.start_flow([lb], 10 * MB)  # finishes at t=0.1
-        # Bus-off clean components run the comp-timer regime: fa's
-        # completion instant lives on its component's single timer.
-        timer_a = fa._comp.region.slot.handle
+        timer_a = fa._timer
         instant_a = fa._timer_at
         assert timer_a is not None
         env.run(until=0.2)
         assert fb.done.triggered
-        # fb finishing emptied its own component; fa's arming survived.
-        assert fa._comp.region.slot.handle is timer_a
+        # fb finishing emptied its own component; fa's timer survived.
+        assert fa._timer is timer_a
         assert not timer_a.cancelled
         assert fa._timer_at == instant_a
         env.run()
@@ -129,12 +127,11 @@ class TestCancelScoping:
         net = FlowNetwork(env, allocator="incremental")
         link = _link("a", "s", "d")
         flow = net.start_flow([link], 10 * MB)
-        # Bus-off clean singleton: the completion timer is the comp's.
-        timer = flow._comp.region.slot.handle
+        timer = flow._timer
         assert timer is not None
         net.cancel_flow(flow)
         flow.done.defuse()
-        assert flow._timer is None and flow._comp is None
+        assert flow._timer is None
         assert timer.cancelled
         assert env.stale_entries == 1
         env.run()  # the stale entry pops without firing
@@ -165,7 +162,6 @@ class TestTimerElision:
         env = Environment()
         net = FlowNetwork(env, allocator="incremental")
         link = _link("a", "s", "d", capacity=100 * MB)
-        _capture_reallocs(env)  # bus on: classic per-flow timers
         f1 = net.start_flow([link], 10 * MB)
         t1 = f1._timer
         f2 = net.start_flow([link], 10 * MB)  # halves f1's share
@@ -173,7 +169,7 @@ class TestTimerElision:
         assert f1._timer is not t1
         assert t1.cancelled
 
-    def test_rate_change_moves_conceptual_instant(self):
+    def test_rate_change_moves_armed_instant(self):
         env = Environment()
         net = FlowNetwork(env, allocator="incremental")
         link = _link("a", "s", "d", capacity=100 * MB)
@@ -181,11 +177,9 @@ class TestTimerElision:
         instant = f1._timer_at
         f2 = net.start_flow([link], 10 * MB)  # halves f1's share
         assert f1.rate == f2.rate == 50 * MB
-        # Fast regime: no per-flow handle, but the conceptual instant
-        # (and the comp timer behind it) tracked the rate change.
-        assert f1._timer is None
-        assert f1._timer_at != instant
-        assert f1._comp.region.slot.armed
+        # The re-armed timer tracks the rate change: 10 MB at 100 MB/s
+        # then 50 MB/s finishes twice as late.
+        assert f1._timer.when == f1._timer_at == 2 * instant
 
 
 class TestLazyProgress:

@@ -4,9 +4,8 @@ The index (``FlowNetwork.contention``) memoizes per-link allocated-rate
 sums against a generation counter bumped at every mutation choke point.
 Its contract is exact equality with the uncached reference accessors
 (``allocated_on`` / ``residual_on`` / ``len(flows_on())``) at every
-observable instant, across every allocator mode — including macro-flow
-virtual replay and epoch fast-forwarding, where flow rates are updated
-lazily.
+observable instant, under both allocators — including macro-flow
+virtual replay, where flow rates are updated lazily.
 """
 
 import random
@@ -108,42 +107,8 @@ def test_index_exact_across_macro_split_and_merge():
     _assert_index_exact(net, [shared, other])
 
 
-def test_index_exact_across_epoch_regime_exit():
-    """Epoch ledgers defer advances; index reads must match eager state."""
-    env = Environment()
-    net = FlowNetwork(env, allocator="epoch")
-    links = _chain(2)
-    flows = [net.start_flow(links, (8 + i) * MB) for i in range(4)]
-    _assert_index_exact(net, links)
-    env.run(until=0.02)
-    _assert_index_exact(net, links)
-    # bytes_carried barriers the component's ledger (regime exit path).
-    net.bytes_carried(links[0])
-    _assert_index_exact(net, links)
-    # A min_rate arrival makes the component unclean, forcing the fast
-    # regime out of epoch mode entirely.
-    net.start_flow(links[:1], 16 * MB, min_rate=1 * MB)
-    _assert_index_exact(net, links)
-    env.run()
-    assert all(f.done.triggered for f in flows)
-    _assert_index_exact(net, links)
-
-
-def test_index_exact_under_analytic_allocator():
-    env = Environment()
-    net = FlowNetwork(env, allocator="analytic")
-    link = _link("solo")
-    for i in range(5):
-        net.start_flow([link], (4 + i) * MB)
-        _assert_index_exact(net, [link])
-    env.run(until=0.01)
-    _assert_index_exact(net, [link])
-    env.run()
-    _assert_index_exact(net, [link])
-
-
 def test_index_exact_under_random_churn_all_allocators():
-    for allocator in ("incremental", "epoch", "fullscan", "legacy"):
+    for allocator in ("incremental", "fullscan"):
         rng = random.Random(17)
         env = Environment()
         net = FlowNetwork(env, allocator=allocator)

@@ -155,7 +155,7 @@ class TestMonitorOnBus:
         from repro.telemetry.session import TelemetrySession
 
         env = Environment()
-        net = FlowNetwork(env, allocator="epoch")
+        net = FlowNetwork(env)
         engine = TransferEngine(env, net, chunk_size=2 * MB, batch_chunks=5,
                                 batch_setup=20e-6, mode="coalesced")
         mlink = Link("mlink", "m", "host", capacity=1 * GB,

@@ -25,10 +25,9 @@ def link(link_id, src, dst, capacity, kind=LinkKind.PCIE, latency=0.0):
     )
 
 
-def make_engine(mode, *, allocator="incremental", chunk_size=100.0,
-                batch_chunks=1, batch_setup=0.0):
+def make_engine(mode, *, chunk_size=100.0, batch_chunks=1, batch_setup=0.0):
     env = Environment()
-    net = FlowNetwork(env, allocator=allocator)
+    net = FlowNetwork(env, allocator="incremental")
     engine = TransferEngine(
         env, net, chunk_size=chunk_size, batch_chunks=batch_chunks,
         batch_setup=batch_setup, mode=mode,
@@ -91,17 +90,6 @@ class TestQuiescentFastPath:
         assert net.macro_eligible([l])
         net.start_flow([l], 50.0)
         assert not net.macro_eligible([l])
-
-    def test_legacy_allocator_never_coalesces(self):
-        counts = {}
-        for mode in TRANSFER_MODES:
-            env, net, engine = make_engine(mode, allocator="legacy")
-            path = Path((link("l", "a", "b", 100.0),))
-            proc = engine.transfer([path], size=1000.0)
-            env.run()
-            counts[mode] = net.flows_started
-            assert proc.value.finished_at == pytest.approx(10.0)
-        assert counts["coalesced"] == counts["per_batch"] == 10
 
 
 class TestMidTransmitSplit:

@@ -13,11 +13,10 @@ tolerances).
 ``slo_deadline`` flows and mid-flight cancels on a DGX-style topology
 (per-GPU PCIe uplinks into two switch groups, shared host links, NIC).
 
-The ``legacy`` allocator (the original global recompute) is also
-checked for maxmin — its rates reach the same fixpoint through a
-different float-operation order, so finish times match to relative
-1e-9 — and exactly on single-link slo_gated workloads, where every
-flow shares one component and the recompute cadence coincides.
+On top of the engine-level sweeps, whole runs are pinned: the Fig. 13
+and Fig. 14 harnesses, the profiler's blame decomposition, and a
+bursty request stream on every data plane must produce the same
+numbers under ``REPRO_NET_ALLOCATOR=fullscan`` as under the default.
 """
 
 import random
@@ -27,6 +26,7 @@ import pytest
 from repro.common.units import GB, MB
 from repro.net import FlowNetwork, Link, LinkKind
 from repro.sim import Environment
+from repro.telemetry import capture
 
 N_SEEDS = 200
 
@@ -151,10 +151,6 @@ def _replay(specs: list[dict], policy: str, allocator: str) -> dict:
         "timer_reschedules": net.timer_reschedules,
         "timer_elisions": net.timer_elisions,
         "end": env.now,
-        # Mode-specific by construction (the oracle never splices):
-        # popped before any cross-allocator equality compare.
-        "cache_hits": net.cache_hits,
-        "cache_rebuilds": net.cache_rebuilds,
     }
 
 
@@ -166,9 +162,6 @@ def test_incremental_matches_fullscan_bit_exactly(policy):
         specs_b = _make_workload(seed, policy)
         a = _replay(specs_a, policy, "incremental")
         b = _replay(specs_b, policy, "fullscan")
-        for stats in (a, b):
-            stats.pop("cache_hits")
-            stats.pop("cache_rebuilds")
         if a != b:
             mismatches.append(seed)
     assert not mismatches, (
@@ -178,18 +171,16 @@ def test_incremental_matches_fullscan_bit_exactly(policy):
 
 
 def _make_clean_workload(seed: int) -> list[dict]:
-    """All-clean flows (no reservations/caps): the cached-waterfill
-    fast path handles every event, with merge/split churn from
-    multi-hop paths and mid-flight cancels."""
+    """All-clean flows (no reservations/caps) with merge/split churn
+    from multi-hop paths and mid-flight cancels."""
     rng = random.Random(seed * 2654435761 % (1 << 31))
     paths = _path_choices(_dgx_links())
     # Fan-in flows on the shared NIC keep events landing in one
-    # established component -- the splice-friendly regime (multi-link
-    # departures dissolve their component and force a rebuild).
+    # established component, with multi-link departures splitting it.
     specs = []
     for index in range(rng.randint(6, 24)):
         # Tight arrival window + sizes that outlast it: components
-        # stay populated, so consecutive events hit the same cache.
+        # stay populated across consecutive events.
         start = round(rng.uniform(0.0, 0.12), 6)
         spec = {
             "index": index,
@@ -207,102 +198,114 @@ def _make_clean_workload(seed: int) -> list[dict]:
     return specs
 
 
-def test_cached_waterfill_matches_fullscan_bit_exactly():
-    """Clean churn: every event runs the level cache (splice or
-    rebuild), and every observable must still be ``==`` to the
-    fullscan oracle.  Also asserts the cache actually engages."""
+def test_clean_churn_matches_fullscan_bit_exactly():
+    """Clean fan-in churn: every observable ``==`` the fullscan oracle."""
     mismatches = []
-    total_hits = total_rebuilds = 0
     for seed in range(N_SEEDS):
         specs_a = _make_clean_workload(seed)
         specs_b = _make_clean_workload(seed)
         a = _replay(specs_a, "maxmin", "incremental")
         b = _replay(specs_b, "maxmin", "fullscan")
-        total_hits += a.pop("cache_hits")
-        total_rebuilds += a.pop("cache_rebuilds")
-        b.pop("cache_hits")
-        b.pop("cache_rebuilds")
         if a != b:
             mismatches.append(seed)
     assert not mismatches, (
-        f"cached waterfill diverged from fullscan for seeds "
+        f"incremental diverged from fullscan on clean churn for seeds "
         f"{mismatches[:10]} ({len(mismatches)}/{N_SEEDS})"
     )
-    # The suite is meaningless if the cache never engages.
-    assert total_hits > N_SEEDS, (total_hits, total_rebuilds)
-    assert total_rebuilds > 0
 
 
-def test_analytic_matches_fullscan_rates_and_instants():
-    """The opt-in ``analytic`` mode integrates one shared service
-    curve per single-link component: rates are identical floats, but
-    completion *instants* agree with the eager chains only in real
-    arithmetic -- compared to rel 1e-9, not bit-exactly."""
-    for seed in range(40):
-        specs_a = _make_clean_workload(seed)
-        specs_b = _make_clean_workload(seed)
-        a = _replay(specs_a, "maxmin", "analytic")
-        b = _replay(specs_b, "maxmin", "fullscan")
-        assert a["outcome"].keys() == b["outcome"].keys(), f"seed {seed}"
-        for index, (kind, at) in a["outcome"].items():
-            other_kind, other_at = b["outcome"][index]
-            assert kind == other_kind, f"seed {seed} flow {index}"
-            assert at == pytest.approx(other_at, rel=1e-9, abs=1e-9), (
-                f"seed {seed} flow {index}: {at} vs {other_at}"
-            )
+# -- experiment-surface differentials ----------------------------------------
+
+def _fig13_rows(allocator: str, monkeypatch):
+    from repro.experiments import fig13
+
+    monkeypatch.setenv("REPRO_NET_ALLOCATOR", allocator)
+    table = fig13.run_pattern("inter", sizes_mb=(16, 64), trials=1)
+    return table.rows
 
 
-def test_incremental_matches_legacy_finish_times_maxmin():
-    """Same fixpoint, different float order: finish times to rel 1e-9."""
-    for seed in range(40):
-        specs_a = _make_workload(seed, "maxmin")
-        specs_b = _make_workload(seed, "maxmin")
-        a = _replay(specs_a, "maxmin", "incremental")
-        b = _replay(specs_b, "maxmin", "legacy")
-        assert a["outcome"].keys() == b["outcome"].keys()
-        for index, (kind, at) in a["outcome"].items():
-            other_kind, other_at = b["outcome"][index]
-            assert kind == other_kind, f"seed {seed} flow {index}"
-            assert at == pytest.approx(other_at, rel=1e-9, abs=1e-9), (
-                f"seed {seed} flow {index}: {at} vs {other_at}"
-            )
+def test_fig13_outputs_bit_identical(monkeypatch):
+    assert _fig13_rows("fullscan", monkeypatch) == \
+        _fig13_rows("incremental", monkeypatch)
 
 
-def test_incremental_matches_legacy_exactly_single_component():
-    """One shared link => one component => identical recompute cadence.
+def _fig14_rows(allocator: str, monkeypatch):
+    from repro.experiments import fig14
 
-    This holds for slo_gated too: the time-varying SLO target is
-    re-evaluated at exactly the same instants in both allocators when
-    every flow belongs to the single component.
-    """
-    def replay(allocator, policy, seed):
-        rng = random.Random(seed)
-        env = Environment()
-        net = FlowNetwork(env, policy=policy, allocator=allocator)
-        link = Link(link_id="only", src="a", dst="b",
-                    capacity=8 * GB, kind=LinkKind.PCIE)
-        finished: list[tuple[int, float]] = []
+    monkeypatch.setenv("REPRO_NET_ALLOCATOR", allocator)
+    table = fig14.run(
+        preset="dgx-v100", workflows=("traffic",), duration=3.0,
+    )
+    return table.rows
 
-        def starter(index, start, size, deadline):
-            yield env.timeout(start)
-            flow = net.start_flow(
-                [link], size, slo_deadline=deadline, tag=str(index)
-            )
-            yield flow.done
-            finished.append((index, env.now))
 
-        for index in range(10):
-            start = round(rng.uniform(0.0, 0.2), 6)
-            size = rng.choice([4, 16, 64]) * MB
-            deadline = (
-                start + rng.uniform(0.05, 0.5)
-                if policy == "slo_gated" and rng.random() < 0.7 else None
-            )
-            env.process(starter(index, start, size, deadline))
-        env.run()
-        return sorted(finished)
+def test_fig14_outputs_bit_identical(monkeypatch):
+    assert _fig14_rows("fullscan", monkeypatch) == \
+        _fig14_rows("incremental", monkeypatch)
 
-    for policy in ("maxmin", "slo_gated"):
-        for seed in range(25):
-            assert replay("incremental", policy, seed) == \
-                replay("legacy", policy, seed), f"{policy} seed {seed}"
+
+def _profile_blame(allocator: str, monkeypatch) -> dict:
+    from repro.experiments.harness import run_workload_on_plane
+    from repro.telemetry.profiler import build_profiles, extract_critical_path
+    from repro.workflow import get_workload
+
+    monkeypatch.setenv("REPRO_NET_ALLOCATOR", allocator)
+    with capture() as session:
+        _tb, results, _wl = run_workload_on_plane(
+            "grouter", "traffic", duration=2.0, rate=5.0, seed=3,
+        )
+    latencies = {r.request_id: r.latency for r in results}
+    (builder,) = build_profiles(session.events).values()
+    workflow = get_workload("traffic").workflow
+    blames = {}
+    for tree in builder.completed:
+        path = extract_critical_path(tree, workflow)
+        assert path.verify(latencies[tree.request_id]), (
+            f"{allocator}: inexact blame tiling for {tree.request_id}"
+        )
+        blames[tree.request_id] = dict(path.blame)
+    assert blames
+    return blames
+
+
+def test_profile_blame_identical_with_profiler_attached(monkeypatch):
+    assert _profile_blame("fullscan", monkeypatch) == \
+        _profile_blame("incremental", monkeypatch)
+
+
+def _stream_outcomes(plane: str, allocator: str, monkeypatch) -> list:
+    """Per-request ``(id, latency, data_time)`` of a bursty stream."""
+    from repro.platform import build_platform
+    from repro.traces import stream_trace
+    from repro.workflow import get_workload
+
+    monkeypatch.setenv("REPRO_NET_ALLOCATOR", allocator)
+    outcomes: list = []
+    platform = build_platform(
+        preset="dgx-v100",
+        plane_name=plane,
+        result_sink=lambda r: outcomes.append(
+            (r.request_id, r.latency, r.data_time)
+        ),
+        keep_results=False,
+    )
+    assert platform.plane.network.allocator == allocator
+    deployment = platform.deploy(get_workload("video"), seed=0, replicas=2)
+    trace = stream_trace("bursty", rate=4.0, duration=170.0, seed=0,
+                         limit=200)
+    platform.run_trace_streaming(deployment, trace)
+    return outcomes
+
+
+@pytest.mark.parametrize(
+    "plane", ["grouter", "infless+", "nvshmem+", "deepplan+"]
+)
+def test_platform_stream_matches_fullscan(plane, monkeypatch):
+    ours = _stream_outcomes(plane, "incremental", monkeypatch)
+    ref = _stream_outcomes(plane, "fullscan", monkeypatch)
+    assert len(ours) == len(ref) == 200
+    for got, want in zip(ours, ref):
+        assert got == want, (
+            f"{plane}: request {want[0]} diverged: "
+            f"incremental {got!r} vs fullscan {want!r}"
+        )

@@ -36,7 +36,7 @@ from repro.topology.paths import (
 
 N_SEEDS = 120
 PRESETS = ("dgx-v100", "dgx-a100", "a10", "h800")
-ALLOCATORS = ("incremental", "epoch", "fullscan")
+ALLOCATORS = ("incremental", "fullscan")
 
 
 def _ids(path):
