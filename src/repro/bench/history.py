@@ -57,16 +57,6 @@ def _telemetry_metrics(document: dict) -> dict[str, float]:
     return metrics
 
 
-def _routing_metrics(document: dict) -> dict[str, float]:
-    metrics: dict[str, float] = {}
-    for run in document.get("benchmarks", ()):
-        for mode, stats in run["modes"].items():
-            metrics[f"{run['name']}/{mode}.decisions_per_sec"] = (
-                stats["decisions_per_sec"]
-            )
-    return metrics
-
-
 def _endtoend_metrics(document: dict) -> dict[str, float]:
     metrics: dict[str, float] = {}
     for run in document.get("benchmarks", ()):
@@ -80,7 +70,6 @@ _EXTRACTORS = {
     "net": _net_metrics,
     "platform": _platform_metrics,
     "telemetry": _telemetry_metrics,
-    "routing": _routing_metrics,
     "endtoend": _endtoend_metrics,
 }
 

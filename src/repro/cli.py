@@ -16,12 +16,10 @@ Commands
     the request-lifecycle churn benchmark (``BENCH_platform.json``);
     ``--suite telemetry`` measures event fan-out cost with the
     recorder and profiler attached (``BENCH_telemetry.json``);
-    ``--suite routing`` measures route-decision throughput in the
-    precomputed-book mode against per-decision enumeration
-    (``BENCH_routing.json``); ``--suite endtoend`` replays
-    10k/100k-request traces through the streaming telemetry stack and
-    asserts peak RSS stays flat (``BENCH_endtoend.json``; name
-    ``requests_1m`` explicitly for the million-request run).
+    ``--suite endtoend`` replays 10k/100k-request traces through the
+    streaming telemetry stack and asserts peak RSS stays flat
+    (``BENCH_endtoend.json``; name ``requests_1m`` explicitly for the
+    million-request run).
 ``profile``
     Run one experiment with the causal profiler attached: writes
     ``profile.json`` (per-request critical paths with exact blame
@@ -415,8 +413,6 @@ def _cmd_bench(args) -> int:
         return _cmd_bench_platform(args)
     if args.suite == "telemetry":
         return _cmd_bench_telemetry(args)
-    if args.suite == "routing":
-        return _cmd_bench_routing(args)
     if args.suite == "endtoend":
         return _cmd_bench_endtoend(args)
     allocators = args.allocators.split(",") if args.allocators else None
@@ -508,38 +504,6 @@ def _cmd_bench_telemetry(args) -> int:
         print(f"\nwrote {out}")
     return _bench_history(args, "telemetry", document,
                           out or "BENCH_telemetry.json")
-
-
-def _cmd_bench_routing(args) -> int:
-    from repro.bench import (
-        format_routing_summary,
-        run_routing_benchmarks,
-        write_results,
-    )
-
-    if args.allocators:
-        print("--allocators applies to the net suite only", file=sys.stderr)
-        return 2
-    try:
-        document = run_routing_benchmarks(
-            quick=args.quick,
-            names=args.benchmarks or None,
-        )
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    print(format_routing_summary(document))
-    out = args.out
-    if out == "BENCH_net.json":  # suite-specific default
-        out = "BENCH_routing.json"
-    if out:
-        out_dir = os.path.dirname(out)
-        if out_dir:
-            os.makedirs(out_dir, exist_ok=True)
-        write_results(document, out)
-        print(f"\nwrote {out}")
-    return _bench_history(args, "routing", document,
-                          out or "BENCH_routing.json")
 
 
 def _cmd_bench_endtoend(args) -> int:
@@ -760,11 +724,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument(
         "--suite",
-        choices=("net", "platform", "telemetry", "routing", "endtoend"),
+        choices=("net", "platform", "telemetry", "endtoend"),
         default="net",
         help="benchmark suite: network engine (default), the "
-             "request-lifecycle platform, telemetry fan-out, route "
-             "decisions, or the end-to-end streaming macrobenchmark",
+             "request-lifecycle platform, telemetry fan-out, or the "
+             "end-to-end streaming macrobenchmark",
     )
     bench.add_argument("--quick", action="store_true",
                        help="scaled-down parameters for CI smoke runs")

@@ -1,7 +1,7 @@
 """Mode-knob resolution: one precedence rule for every env override.
 
-Every tunable mode in the stack (allocator, transfer coalescing, route
-decisions) used to parse its own environment variable inline,
+Every tunable mode in the stack (allocator, transfer coalescing) used
+to parse its own environment variable inline,
 each with slightly different validation and no shared statement of who
 wins when both an env var and a harness kwarg are set.  This module is
 the single answer:
@@ -28,14 +28,11 @@ __all__ = [
     "resolve_mode",
     "net_allocator",
     "net_transfer_mode",
-    "net_routing_mode",
     "mode_metadata",
     "NET_ALLOCATORS",
     "NET_TRANSFER_MODES",
-    "NET_ROUTING_MODES",
     "ENV_NET_ALLOCATOR",
     "ENV_NET_TRANSFER",
-    "ENV_NET_ROUTING",
 ]
 
 # Canonical knob names / valid values.  The net layer re-exports these
@@ -43,14 +40,9 @@ __all__ = [
 # existing import sites keep working.
 NET_ALLOCATORS = ("incremental", "fullscan")
 NET_TRANSFER_MODES = ("coalesced", "per_batch")
-# Route-decision mode: "book" reads precomputed path books and the
-# O(1) contention index; "enumerate" re-runs the per-decision topology
-# enumeration (the pre-book reference path, kept for differentials).
-NET_ROUTING_MODES = ("book", "enumerate")
 
 ENV_NET_ALLOCATOR = "REPRO_NET_ALLOCATOR"
 ENV_NET_TRANSFER = "REPRO_NET_TRANSFER"
-ENV_NET_ROUTING = "REPRO_NET_ROUTING"
 
 
 def resolve_mode(
@@ -105,22 +97,10 @@ def net_transfer_mode(override: Optional[str] = None) -> str:
     )
 
 
-def net_routing_mode(override: Optional[str] = None) -> str:
-    """Resolve the route-decision mode (path books vs. re-enumeration)."""
-    return resolve_mode(
-        "routing mode",
-        env_var=ENV_NET_ROUTING,
-        valid=NET_ROUTING_MODES,
-        default="book",
-        override=override,
-    )
-
-
 def mode_metadata(
     *,
     allocator: Optional[str] = None,
     transfer: Optional[str] = None,
-    routing: Optional[str] = None,
 ) -> Dict[str, object]:
     """Resolved mode knobs as a flat dict, for stamping BENCH_*.json.
 
@@ -131,5 +111,4 @@ def mode_metadata(
     return {
         "allocator": net_allocator(allocator),
         "transfer_mode": net_transfer_mode(transfer),
-        "routing": net_routing_mode(routing),
     }

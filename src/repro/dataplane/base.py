@@ -19,7 +19,6 @@ import abc
 from dataclasses import dataclass, field
 from typing import Optional, Protocol
 
-from repro.common.config import net_routing_mode
 from repro.common.errors import StorageError
 from repro.common.ids import IdGenerator
 from repro.common.units import MB, US
@@ -170,17 +169,13 @@ class DataPlane(abc.ABC):
         record_timelines: bool = False,
         storage_limit_fraction: Optional[float] = None,
         pool_prewarm: float = 300 * MB,
-        routing: Optional[str] = None,
     ) -> None:
         self.env = env
         self.cluster = cluster
-        # Route-decision mode (kwarg > REPRO_NET_ROUTING > "book"):
-        # "book" reads interned path tables off the cluster's route
-        # book; "enumerate" re-derives every path per decision.
-        self.routing = net_routing_mode(routing)
-        self.route_book = (
-            cluster_route_book(cluster) if self.routing == "book" else None
-        )
+        # Route decisions read candidate paths from the cluster's
+        # interned route book; link load is read live from
+        # self.network at decision time.
+        self.route_book = cluster_route_book(cluster)
         self.network = FlowNetwork(env, policy=network_policy)
         self.engine = TransferEngine(env, self.network)
         self.chunked = chunked
@@ -521,55 +516,26 @@ class DataPlane(abc.ABC):
     def _simple_gpu_to_gpu_path(self, src_gpu, dst_gpu) -> Path:
         """Single best path between two same-node GPUs: NVLink else PCIe."""
         node = self.cluster.node_of_device(src_gpu.device_id)
-        if self.routing == "book":
-            book = route_book(node)
-            direct = book.nvlink_direct(src_gpu.index, dst_gpu.index)
-            if direct is not None:
-                return direct
-            return book.gpu_p2p(src_gpu.index, dst_gpu.index)
-        from repro.topology.paths import gpu_p2p_pcie_path, nvlink_direct_path
-
-        direct = nvlink_direct_path(node, src_gpu, dst_gpu)
+        book = route_book(node)
+        direct = book.nvlink_direct(src_gpu.index, dst_gpu.index)
         if direct is not None:
             return direct
-        return gpu_p2p_pcie_path(node, src_gpu, dst_gpu)
+        return book.gpu_p2p(src_gpu.index, dst_gpu.index)
 
     def _direct_host_path(self, node, gpu, direction: str) -> Path:
         """The GPU's own uplink/downlink path to or from host memory."""
-        if self.routing == "book":
-            book = route_book(node)
-            return (
-                book.gpu_to_host(gpu.index)
-                if direction == "to_host"
-                else book.host_to_gpu(gpu.index)
-            )
-        from repro.topology.paths import gpu_to_host_path, host_to_gpu_path
-
-        return (
-            gpu_to_host_path(node, gpu)
-            if direction == "to_host"
-            else host_to_gpu_path(node, gpu)
-        )
+        book = route_book(node)
+        if direction == "to_host":
+            return book.gpu_to_host(gpu.index)
+        return book.host_to_gpu(gpu.index)
 
     def _host_to_host_path(self, src_node, dst_node) -> Path:
         """Host-memory to host-memory path over each node's first NIC."""
-        if self.routing == "book":
-            return self.route_book.host_to_host(
-                src_node.node_id, dst_node.node_id
-            )
-        from repro.topology.paths import host_to_host_path
-
-        return host_to_host_path(self.cluster, src_node, dst_node)
+        return self.route_book.host_to_host(src_node.node_id, dst_node.node_id)
 
     def _gdr_path(self, src_gpu, dst_gpu) -> Path:
         """Default single-lane GPUDirect-RDMA path between two nodes."""
-        if self.routing == "book":
-            return self.route_book.gdr_path(
-                src_gpu.device_id, dst_gpu.device_id
-            )
-        from repro.topology.paths import cross_node_gdr_path
-
-        return cross_node_gdr_path(self.cluster, src_gpu, dst_gpu)
+        return self.route_book.gdr_path(src_gpu.device_id, dst_gpu.device_id)
 
     # -- storage capacity / eviction -----------------------------------------------
     def storage_limit(self, gpu_device_id: str) -> float:

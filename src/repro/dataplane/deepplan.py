@@ -28,12 +28,8 @@ class DeepPlanPlane(NvshmemPlane):
 
     def _parallel_host_paths(self, node: NodeTopology, gpu: Gpu,
                              direction: str):
-        routes = select_pcie_routes(
-            node, gpu, topology_aware=False, routing=self.routing
-        )
-        return pcie_host_paths(
-            node, gpu, routes, direction, routing=self.routing
-        )
+        routes = select_pcie_routes(node, gpu, topology_aware=False)
+        return pcie_host_paths(node, gpu, routes, direction)
 
     def _host_to_gpu(self, node: NodeTopology, gpu: Gpu, size: float,
                      ctx: FnContext):

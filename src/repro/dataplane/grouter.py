@@ -231,9 +231,8 @@ class GRouterPlane(DataPlane):
             gpu,
             topology_aware=self.topology_aware,
             network=self.network if self.topology_aware else None,
-            routing=self.routing,
         )
-        return pcie_host_paths(node, gpu, routes, direction, routing=self.routing)
+        return pcie_host_paths(node, gpu, routes, direction)
 
     def _get_from_host(self, ctx: FnContext, obj: DataObject, node_id: str):
         """Serve an object whose bytes are in host memory."""
@@ -287,31 +286,15 @@ class GRouterPlane(DataPlane):
 
     def _intra_node_transfer(self, ctx: FnContext, src_gpu: Gpu,
                              size: float):
-        node = ctx.node
         if self.topology_aware:
-            selection = select_parallel_nvlink_paths(
-                node, self.network, src_gpu, ctx.gpu, routing=self.routing
-            )
-            paths = selection.paths
-        else:
-            paths = []
-            if self.routing == "book":
-                direct = route_book(node).nvlink_direct(
-                    src_gpu.index, ctx.gpu.index
-                )
-            else:
-                from repro.topology.paths import nvlink_direct_path
-
-                direct = nvlink_direct_path(node, src_gpu, ctx.gpu)
-            if direct is not None:
-                paths = [direct]
-        if not paths:
-            if self.routing == "book":
+            node = ctx.node
+            paths = select_parallel_nvlink_paths(
+                node, self.network, src_gpu, ctx.gpu
+            ).paths
+            if not paths:
                 paths = [route_book(node).gpu_p2p(src_gpu.index, ctx.gpu.index)]
-            else:
-                from repro.topology.paths import gpu_p2p_pcie_path
-
-                paths = [gpu_p2p_pcie_path(node, src_gpu, ctx.gpu)]
+        else:
+            paths = [self._simple_gpu_to_gpu_path(src_gpu, ctx.gpu)]
         yield from self._run_transfer(
             paths,
             size,
@@ -329,7 +312,6 @@ class GRouterPlane(DataPlane):
                 src_gpu,
                 ctx.gpu,
                 topology_aware=self.topology_aware,
-                routing=self.routing,
             )
         else:
             paths = []

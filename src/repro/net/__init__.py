@@ -3,7 +3,6 @@
 from repro.net.links import Link, LinkKind
 from repro.net.monitor import LinkUtilizationMonitor
 from repro.net.network import (
-    ContentionIndex,
     Flow,
     FlowNetwork,
     FlowStats,
@@ -24,7 +23,6 @@ __all__ = [
     "Link",
     "LinkUtilizationMonitor",
     "LinkKind",
-    "ContentionIndex",
     "Flow",
     "FlowNetwork",
     "FlowStats",

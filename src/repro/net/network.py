@@ -172,59 +172,6 @@ class _LinkState:
     # order, so iteration is deterministic without sorting.
     flows: dict = field(default_factory=dict)
     bytes_carried: float = 0.0
-    # Contention-index memo: the allocated-rate sum as of network
-    # generation ``alloc_gen`` (-1 = never computed).  Recomputed with
-    # the exact expression ``allocated_on`` uses, so a fresh read and a
-    # memoized read return the same float bit for bit.
-    alloc_gen: int = -1
-    alloc_rates: float = 0.0
-
-
-class ContentionIndex:
-    """O(1)-readable per-link contention: flow counts and residuals.
-
-    The allocator already touches per-link state on every flow start,
-    finish, and reallocation; this index piggybacks on those events by
-    bumping one generation counter (``FlowNetwork._touch_contention``)
-    at every mutation choke point.  Reads memoize the allocated-rate
-    sum per link against that generation, so Algorithm 1 and the
-    harvest selectors — which probe many links between consecutive
-    network mutations — pay the flow-set walk once per (link, change)
-    instead of once per probe.
-
-    Bit-identity: a memoized value is the literal result of the same
-    ``sum(flow.rate for flow in state.flows.values())`` expression
-    :meth:`FlowNetwork.allocated_on` evaluates, cached only while no
-    mutation has intervened, so reads agree with the uncached
-    reference under both allocators (macro virtual replay included —
-    lazily advanced macro rates are read identically by both).  The
-    seeded routing differential suite pins this equivalence.
-    """
-
-    __slots__ = ("_net",)
-
-    def __init__(self, net: "FlowNetwork") -> None:
-        self._net = net
-
-    def flow_count(self, link: Link) -> int:
-        """Number of active flows crossing *link* (no set copy)."""
-        return len(self._net.link_state(link).flows)
-
-    def allocated(self, link: Link) -> float:
-        """Total allocated rate on *link* (memoized per generation)."""
-        net = self._net
-        state = net.link_state(link)
-        if state.alloc_gen != net._contention_gen:
-            state.alloc_rates = sum(
-                flow.rate for flow in state.flows.values()
-            )
-            state.alloc_gen = net._contention_gen
-            net.contention_recomputes += 1
-        return state.alloc_rates
-
-    def residual(self, link: Link) -> float:
-        """Unallocated capacity on *link* (memoized per generation)."""
-        return max(0.0, link.capacity - self.allocated(link))
 
 
 @dataclass(slots=True)
@@ -367,12 +314,6 @@ class FlowNetwork:
         # Macro-flow coalescing effectiveness.
         self.macro_coalesced = 0
         self.macro_splits = 0
-        # Contention index: generation counter bumped at every rate /
-        # membership mutation choke point; per-link allocated sums are
-        # memoized against it (see ContentionIndex).
-        self._contention_gen = 0
-        self.contention_recomputes = 0
-        self.contention = ContentionIndex(self)
 
     def export_metrics(self, registry) -> None:
         """Publish allocator counters into a telemetry MetricsRegistry.
@@ -386,7 +327,6 @@ class FlowNetwork:
             ("net.timer_elisions", self.timer_elisions),
             ("net.macro_coalesced", self.macro_coalesced),
             ("net.macro_splits", self.macro_splits),
-            ("net.contention_recomputes", self.contention_recomputes),
         ):
             counter = registry.counter(name)
             if value > counter.value:
@@ -425,24 +365,10 @@ class FlowNetwork:
     def flow_count_on(self, link: Link) -> int:
         """Number of active flows crossing *link*, without copying.
 
-        Equivalent to ``len(flows_on(link))`` but O(1): emptiness /
-        count probes (path-is-free checks, harvest uplink tests) should
-        use this instead of materializing a set per link.
+        O(1): emptiness / count probes (path-is-free checks, harvest
+        uplink tests) use this instead of materializing a set per link.
         """
         return len(self.link_state(link).flows)
-
-    def flows_on(self, link: Link) -> set:
-        """Active flows crossing *link* (live view copy)."""
-        return set(self.link_state(link).flows.values())
-
-    def _touch_contention(self) -> None:
-        """Invalidate the contention index's per-link memos.
-
-        Called (cheaply) from every method that can change a flow's
-        rate or a link's flow membership; over-calling is safe — it
-        only forces the next read to recompute.
-        """
-        self._contention_gen += 1
 
     def bytes_carried(self, link: Link) -> float:
         """Total bytes carried by *link* so far (includes in-flight)."""
@@ -479,7 +405,6 @@ class FlowNetwork:
         Returns the :class:`Flow`; its ``done`` event fires (with
         :class:`FlowStats`) when the last byte drains.
         """
-        self._touch_contention()
         flow = Flow(
             self.env,
             path,
@@ -535,7 +460,6 @@ class FlowNetwork:
         """
         if flow.flow_id not in self._flows:
             raise SimulationError(f"cancel of unknown flow {flow.flow_id}")
-        self._touch_contention()
         if flow._macro is not None:
             macro = flow._macro
             self._advance_flow(flow, self.env.now)
@@ -606,7 +530,6 @@ class FlowNetwork:
                 self.add_link(link)
         if any(self._links[link.link_id].flows for link in path):
             return None
-        self._touch_contention()
         flow = Flow(
             self.env,
             path,
@@ -701,7 +624,6 @@ class FlowNetwork:
         """
         macro = flow._macro
         self.macro_splits += 1
-        self._touch_contention()
         self._advance_flow(flow, now)
         macro.timer.cancel()
         entry = macro.entries[macro.index]
@@ -942,7 +864,6 @@ class FlowNetwork:
         macro = flow._macro
         entries = macro.entries
         last = len(entries) - 1
-        self._touch_contention()
         while True:
             entry = entries[macro.index]
             if now < entry.s:
@@ -1071,7 +992,6 @@ class FlowNetwork:
     ) -> None:
         self.realloc_count += 1
         self.realloc_flows += len(component)
-        self._touch_contention()
         rates = self._compute_rates(component, links)
         rescheduled: list[int] = []
         for flow in component:
@@ -1118,7 +1038,6 @@ class FlowNetwork:
 
     # -- internals -----------------------------------------------------------
     def _detach(self, flow: Flow) -> None:
-        self._touch_contention()
         self._flows.pop(flow.flow_id, None)
         for link in flow.path:
             self._links[link.link_id].flows.pop(flow.flow_id, None)

@@ -12,6 +12,11 @@ which crosses the source's own uplink twice and congests it.
 *NIC harvesting*: a cross-node transfer can fan out over several NICs
 by staging chunks on route GPUs near each NIC, mirrored on the
 receiving node ("corresponding GPUs", Fig. 9(a)).
+
+The static half of every decision (per-switch borrow candidates,
+borrowed-uplink paths, NIC lanes) is interned on the topology's route
+book (:mod:`repro.topology.routebook`) on first use; only the
+uplink-busy check reads live network state.
 """
 
 from __future__ import annotations
@@ -19,19 +24,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.common.config import net_routing_mode
 from repro.common.errors import RoutingError
 from repro.net.network import FlowNetwork
 from repro.net.transfer import Path
 from repro.topology.cluster import ClusterTopology
 from repro.topology.devices import FABRIC_ID, Gpu, Nic
 from repro.topology.node import NodeTopology
-from repro.topology.paths import (
-    gpu_to_host_path,
-    gpu_to_nic_links,
-    host_to_gpu_path,
-    nic_to_gpu_links,
-)
+from repro.topology.paths import gpu_to_nic_links, nic_to_gpu_links
 from repro.topology.routebook import cluster_route_book, route_book
 
 
@@ -99,8 +98,6 @@ def select_pcie_routes(
     gpu: Gpu,
     topology_aware: bool = True,
     network: Optional[FlowNetwork] = None,
-    max_routes: Optional[int] = None,
-    routing: Optional[str] = None,
 ) -> list[PcieRoute]:
     """Pick route GPUs whose PCIe uplinks a gFn-host transfer may borrow.
 
@@ -108,35 +105,14 @@ def select_pcie_routes(
     resource being borrowed).  With *network* given, switches whose
     uplink already carries traffic are skipped (contention avoidance).
     """
-    if net_routing_mode(routing) == "book":
-        routes = []
-        for uplink, aware, naive in _pcie_switch_table(node, gpu):
-            if network is not None and network.flow_count_on(uplink):
-                continue
-            if aware is not None:
-                routes.append(aware)
-            elif not topology_aware and naive is not None:
-                routes.append(naive)
-            if max_routes is not None and len(routes) >= max_routes:
-                break
-        return routes
-    my_switch = node.switch_of(gpu)
     routes = []
-    for switch in node.switches:
-        if switch.device_id == my_switch:
-            continue  # shares my uplink; borrowing it gains nothing
-        if network is not None:
-            uplink = node.link(switch.device_id, node.host.device_id)
-            if network.flow_count_on(uplink):
-                continue
-        group = node.gpus_on_switch(switch.device_id)
-        linked = [peer for peer in group if _has_nvlink(node, gpu, peer)]
-        if linked:
-            routes.append(PcieRoute(route_gpu=linked[0], via_nvlink=True))
-        elif not topology_aware and group:
-            routes.append(PcieRoute(route_gpu=group[0], via_nvlink=False))
-        if max_routes is not None and len(routes) >= max_routes:
-            break
+    for uplink, aware, naive in _pcie_switch_table(node, gpu):
+        if network is not None and network.flow_count_on(uplink):
+            continue
+        if aware is not None:
+            routes.append(aware)
+        elif not topology_aware and naive is not None:
+            routes.append(naive)
     return routes
 
 
@@ -146,7 +122,6 @@ def pcie_host_paths(
     routes: list[PcieRoute],
     direction: str = "to_host",
     include_direct: bool = True,
-    routing: Optional[str] = None,
 ) -> list[Path]:
     """Build the parallel path set for a gFn-host transfer.
 
@@ -157,40 +132,27 @@ def pcie_host_paths(
     """
     if direction not in ("to_host", "from_host"):
         raise RoutingError(f"unknown direction {direction!r}")
-    if net_routing_mode(routing) == "book":
-        book = route_book(node)
-        paths = []
-        if include_direct:
-            paths.append(
-                book.gpu_to_host(gpu.index)
-                if direction == "to_host"
-                else book.host_to_gpu(gpu.index)
-            )
-        for route in routes:
-            key = (
-                "pcie_path",
-                gpu.index,
-                route.route_gpu.index,
-                route.via_nvlink,
-                direction,
-            )
-            path = book.extras.get(key)
-            if path is None:
-                path = _borrowed_pcie_path(node, gpu, route, direction)
-                book.extras[key] = path
-            paths.append(path)
-        return paths
-    host = node.host.device_id
+    book = route_book(node)
     paths = []
     if include_direct:
-        direct = (
-            gpu_to_host_path(node, gpu)
+        paths.append(
+            book.gpu_to_host(gpu.index)
             if direction == "to_host"
-            else host_to_gpu_path(node, gpu)
+            else book.host_to_gpu(gpu.index)
         )
-        paths.append(direct)
     for route in routes:
-        paths.append(_borrowed_pcie_path(node, gpu, route, direction))
+        key = (
+            "pcie_path",
+            gpu.index,
+            route.route_gpu.index,
+            route.via_nvlink,
+            direction,
+        )
+        path = book.extras.get(key)
+        if path is None:
+            path = _borrowed_pcie_path(node, gpu, route, direction)
+            book.extras[key] = path
+        paths.append(path)
     return paths
 
 
@@ -253,7 +215,6 @@ def select_nic_routes(
     dst: Gpu,
     topology_aware: bool = True,
     max_nics: Optional[int] = None,
-    routing: Optional[str] = None,
 ) -> list[NicRoute]:
     """Pick NIC lanes for a cross-node gFn-gFn transfer (Fig. 9(a)).
 
@@ -262,26 +223,21 @@ def select_nic_routes(
     direct NVLink to the source.  The destination side mirrors the
     source's NIC index ("corresponding GPUs" minimize NUMA hops).
     """
-    if net_routing_mode(routing) == "book":
-        # NIC lane selection is purely topological, so the whole route
-        # list interns on the cluster book; *max_nics* truncation is a
-        # prefix of the full enumeration by construction.
-        book = cluster_route_book(cluster)
-        key = ("nic_routes", src.device_id, dst.device_id, topology_aware)
-        routes = book.extras.get(key)
-        if routes is None:
-            routes = tuple(
-                select_nic_routes(
-                    cluster,
-                    src,
-                    dst,
-                    topology_aware=topology_aware,
-                    routing="enumerate",
-                )
-            )
-            book.extras[key] = routes
-        full = list(routes)
-        return full if max_nics is None else full[:max_nics]
+    # NIC lane selection is purely topological, so the whole route list
+    # interns on the cluster book; *max_nics* keeps a prefix of it.
+    book = cluster_route_book(cluster)
+    key = ("nic_routes", src.device_id, dst.device_id, topology_aware)
+    routes = book.extras.get(key)
+    if routes is None:
+        routes = _enumerate_nic_routes(cluster, src, dst, topology_aware)
+        book.extras[key] = routes
+    return list(routes if max_nics is None else routes[:max_nics])
+
+
+def _enumerate_nic_routes(
+    cluster: ClusterTopology, src: Gpu, dst: Gpu, topology_aware: bool
+) -> tuple[NicRoute, ...]:
+    """Every NIC lane of :func:`select_nic_routes`, from the topology."""
     src_node = cluster.node_of_device(src.device_id)
     dst_node = cluster.node_of_device(dst.device_id)
     routes: list[NicRoute] = []
@@ -303,9 +259,7 @@ def select_nic_routes(
                 dst_feeder=dst_feeder,
             )
         )
-        if max_nics is not None and len(routes) >= max_nics:
-            break
-    return routes
+    return tuple(routes)
 
 
 def _feeder_for_nic(
@@ -352,35 +306,21 @@ def parallel_nic_paths(
     dst: Gpu,
     topology_aware: bool = True,
     max_nics: Optional[int] = None,
-    routing: Optional[str] = None,
 ) -> list[Path]:
     """All NIC-lane paths for a cross-node transfer, ready to execute."""
-    if net_routing_mode(routing) == "book":
-        book = cluster_route_book(cluster)
-        key = ("nic_paths", src.device_id, dst.device_id, topology_aware)
-        lane_paths = book.extras.setdefault(key, {})
-        routes = select_nic_routes(
-            cluster, src, dst, topology_aware=topology_aware, routing="book"
-        )
-        if max_nics is not None:
-            routes = routes[:max_nics]
-        # Materialize lanes lazily per index: a lane beyond the prefix a
-        # caller asked for may be un-materializable (no NVLink hop), and
-        # the enumerate mode would never touch it either.
-        paths = []
-        for lane, route in enumerate(routes):
-            path = lane_paths.get(lane)
-            if path is None:
-                path = nic_route_path(cluster, src, dst, route)
-                lane_paths[lane] = path
-            paths.append(path)
-        return paths
+    book = cluster_route_book(cluster)
+    key = ("nic_paths", src.device_id, dst.device_id, topology_aware)
+    lane_paths = book.extras.setdefault(key, {})
     routes = select_nic_routes(
-        cluster,
-        src,
-        dst,
-        topology_aware=topology_aware,
-        max_nics=max_nics,
-        routing="enumerate",
+        cluster, src, dst, topology_aware=topology_aware, max_nics=max_nics
     )
-    return [nic_route_path(cluster, src, dst, route) for route in routes]
+    # Materialize lanes lazily per index: a lane beyond the prefix a
+    # caller asked for may be un-materializable (no NVLink hop).
+    paths = []
+    for lane, route in enumerate(routes):
+        path = lane_paths.get(lane)
+        if path is None:
+            path = nic_route_path(cluster, src, dst, route)
+            lane_paths[lane] = path
+        paths.append(path)
+    return paths

@@ -6,28 +6,22 @@ contention-aware: it prefers completely idle paths, stops once the
 source's outgoing (or destination's incoming) NVLink capacity is
 saturated, and only then considers busy paths for bandwidth balancing.
 
-Route-decision mode (``REPRO_NET_ROUTING``, default ``book``): the
-candidate set comes from the node's precomputed
-:class:`~repro.topology.routebook.NodeRouteBook` and contention reads
-hit the network's O(1) :class:`~repro.net.network.ContentionIndex`.
-``enumerate`` re-runs the per-decision DFS and per-link residual sums —
-the reference both the differential suite and `repro bench --suite
-routing` compare against.  Selections are bit-identical across modes.
+Candidates and NVLink egress capacities come from the node's interned
+:class:`~repro.topology.routebook.NodeRouteBook`, which holds exactly
+what :func:`~repro.topology.paths.nvlink_simple_paths` enumerates, in
+the same order.  Link load is read live from the
+:class:`~repro.net.network.FlowNetwork` at decision time.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
-from repro.common.config import net_routing_mode
-from repro.net.links import Link
 from repro.net.network import FlowNetwork
 from repro.net.transfer import Path
 from repro.topology.devices import Gpu
 from repro.topology.node import NodeTopology
-from repro.topology.paths import nvlink_simple_paths
 from repro.topology.routebook import route_book
 
 # A busy path is worth borrowing only if it still has a meaningful
@@ -48,30 +42,6 @@ class PathSelection:
         return sum(path.nominal_bandwidth for path in self.paths)
 
 
-# NVLink egress capacity is a static topology fact; memoize it per
-# (node, gpu index) so Algorithm 1 stops re-summing neighbor
-# capacities on every invocation.  Keyed weakly: caches die with their
-# topology.
-_OUT_CAPACITY: "weakref.WeakKeyDictionary[NodeTopology, dict]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
-def _out_capacity(node: NodeTopology, gpu: Gpu) -> float:
-    per_node = _OUT_CAPACITY.get(node)
-    if per_node is None:
-        per_node = {}
-        _OUT_CAPACITY[node] = per_node
-    cap = per_node.get(gpu.index)
-    if cap is None:
-        cap = sum(
-            node.nvlink_capacity(gpu.index, peer)
-            for peer in node.nvlink_neighbors(gpu.index)
-        )
-        per_node[gpu.index] = cap
-    return cap
-
-
 def _path_is_free(network: FlowNetwork, path: Path, used_link_ids: set) -> bool:
     for link in path.links:
         if link.link_id in used_link_ids:
@@ -81,34 +51,12 @@ def _path_is_free(network: FlowNetwork, path: Path, used_link_ids: set) -> bool:
     return True
 
 
-def _path_min_residual(
-    residual: Callable[[Link], float], path: Path
-) -> float:
-    return min(residual(link) for link in path.links)
+def _path_min_residual(network: FlowNetwork, path: Path) -> float:
+    return min(network.residual_on(link) for link in path.links)
 
 
 def _overlaps(path: Path, used_link_ids: set) -> bool:
     return any(link.link_id in used_link_ids for link in path.links)
-
-
-def _candidates_and_residual(
-    node: NodeTopology,
-    network: FlowNetwork,
-    src: Gpu,
-    dst: Gpu,
-    max_hops: int,
-    routing: Optional[str],
-):
-    """Resolve the routing mode into (candidates, residual-read)."""
-    if net_routing_mode(routing) == "book":
-        candidates = route_book(node).nvlink_paths(
-            src.index, dst.index, max_hops
-        )
-        return candidates, network.contention.residual
-    return (
-        nvlink_simple_paths(node, src, dst, max_hops=max_hops),
-        network.residual_on,
-    )
 
 
 def select_parallel_nvlink_paths(
@@ -118,7 +66,6 @@ def select_parallel_nvlink_paths(
     dst: Gpu,
     max_hops: int = 3,
     max_paths: Optional[int] = None,
-    routing: Optional[str] = None,
 ) -> PathSelection:
     """Algorithm 1: contention-aware parallel NVLink path selection.
 
@@ -128,9 +75,8 @@ def select_parallel_nvlink_paths(
     does automatically.
     """
     selection = PathSelection()
-    candidates, residual_of = _candidates_and_residual(
-        node, network, src, dst, max_hops, routing
-    )
+    book = route_book(node)
+    candidates = book.nvlink_paths(src.index, dst.index, max_hops)
     if not candidates:
         return selection
     if node.has_nvswitch:
@@ -140,7 +86,7 @@ def select_parallel_nvlink_paths(
         selection.free_paths = 1
         return selection
 
-    saturation = min(_out_capacity(node, src), _out_capacity(node, dst))
+    saturation = min(book.out_capacity(src.index), book.out_capacity(dst.index))
     used_link_ids: set = set()
     chosen_bw = 0.0
     limit = max_paths if max_paths is not None else len(candidates)
@@ -164,13 +110,11 @@ def select_parallel_nvlink_paths(
             for path in candidates
             if not _overlaps(path, used_link_ids)
         ]
-        busy.sort(
-            key=lambda p: (p.hops, -_path_min_residual(residual_of, p))
-        )
+        busy.sort(key=lambda p: (p.hops, -_path_min_residual(network, p)))
         for path in busy:
             if len(selection.paths) >= limit or chosen_bw >= saturation:
                 break
-            residual = _path_min_residual(residual_of, path)
+            residual = _path_min_residual(network, path)
             if residual < _BUSY_RESIDUAL_FRACTION * path.nominal_bandwidth:
                 continue
             selection.paths.append(path)
@@ -187,15 +131,12 @@ def best_single_nvlink_path(
     src: Gpu,
     dst: Gpu,
     max_hops: int = 3,
-    routing: Optional[str] = None,
 ) -> Optional[Path]:
     """The single best path by current residual bandwidth, if any."""
-    candidates, residual_of = _candidates_and_residual(
-        node, network, src, dst, max_hops, routing
-    )
+    candidates = route_book(node).nvlink_paths(src.index, dst.index, max_hops)
     if not candidates:
         return None
     return max(
         candidates,
-        key=lambda p: (_path_min_residual(residual_of, p), -p.hops),
+        key=lambda p: (_path_min_residual(network, p), -p.hops),
     )

@@ -1,33 +1,30 @@
-"""Precomputed candidate-path books over immutable topologies.
+"""Interned candidate-path books over immutable topologies.
 
-Topology objects never change after construction, yet every routing
-decision used to re-enumerate candidate paths from scratch — rebuilding
-a networkx graph and re-running a simple-paths DFS per transfer
-(:func:`repro.topology.paths.nvlink_simple_paths`), or re-walking the
-switch/NIC tables for PCIe and cross-node lanes.  A *route book* computes
-each candidate table once per :class:`~repro.topology.node.NodeTopology`
-/ :class:`~repro.topology.cluster.ClusterTopology` and interns the
-resulting :class:`~repro.net.transfer.Path` objects, so repeated
-decisions share one immutable path set.
+Topology objects never change after construction, so the candidate
+paths a routing decision considers — NVLink simple paths from a
+networkx DFS (:func:`repro.topology.paths.nvlink_simple_paths`), PCIe
+host and peer-to-peer paths, cross-node GDR and host-to-host paths —
+are static facts of the topology.  A *route book* computes each table
+once per :class:`~repro.topology.node.NodeTopology` /
+:class:`~repro.topology.cluster.ClusterTopology`, on first access, and
+interns the resulting :class:`~repro.net.transfer.Path` objects, so
+repeated decisions share one immutable path set.
 
 Correctness contract: every book entry is produced by calling the exact
-enumeration code in :mod:`repro.topology.paths` (once, on first access),
-so results — including the deterministic ``(hops, -bottleneck, lex)``
-ordering of NVLink candidates — are the same objects the per-decision
-enumeration would have built.  The ``enumerate`` routing mode
-(``REPRO_NET_ROUTING``) bypasses books entirely and is the differential
-reference for that claim.
+enumeration code in :mod:`repro.topology.paths`, so results — including
+the deterministic ``(hops, -bottleneck, lex)`` ordering of NVLink
+candidates — equal what a per-decision enumeration would build.
+``tests/property/test_routing_differential.py`` checks this by running
+every routing selector against the books and against a stand-in that
+re-enumerates on each access.
 
-Books fill lazily by default; :meth:`NodeRouteBook.warm` /
-:meth:`ClusterRouteBook.warm` precompute every table eagerly (the bench
-suite's "cold vs warm" axis).  Higher layers (``repro.routing``) stash
-their derived route tables in the open ``extras`` dict so their caches
-share the book's lifetime without this module importing routing policy.
+Higher layers (``repro.routing``) stash their derived route tables in
+the open ``extras`` dict so their caches share the book's lifetime
+without this module importing routing policy.
 """
 
 from __future__ import annotations
 
-import itertools
 import weakref
 from typing import Optional
 
@@ -52,8 +49,7 @@ __all__ = [
     "cluster_route_book",
 ]
 
-# Default DFS depth used across the routing layer; warm() precomputes
-# this cutoff (other cutoffs still fill lazily).
+# Default DFS depth of NVLink candidate paths across the routing layer.
 DEFAULT_MAX_HOPS = 3
 
 _MISS = object()
@@ -161,20 +157,6 @@ class NodeRouteBook:
             self._p2p[key] = path
         return path
 
-    # -- eager fill -----------------------------------------------------
-    def warm(self, max_hops: int = DEFAULT_MAX_HOPS) -> "NodeRouteBook":
-        """Precompute every per-node table; returns self for chaining."""
-        n = len(self.node.gpus)
-        for idx in range(n):
-            self.gpu_to_host(idx)
-            self.host_to_gpu(idx)
-            self.out_capacity(idx)
-        for a, b in itertools.permutations(range(n), 2):
-            self.nvlink_paths(a, b, max_hops)
-            self.nvlink_direct(a, b)
-            self.gpu_p2p(a, b)
-        return self
-
 
 class ClusterRouteBook:
     """Interned cross-node path tables plus per-node books."""
@@ -217,17 +199,6 @@ class ClusterRouteBook:
             )
             self._h2h[key] = path
         return path
-
-    def warm(self, max_hops: int = DEFAULT_MAX_HOPS) -> "ClusterRouteBook":
-        for book in self._node_books.values():
-            book.warm(max_hops)
-        nodes = self.cluster.nodes
-        for a, b in itertools.permutations(nodes, 2):
-            self.host_to_host(a.node_id, b.node_id)
-            for src in a.gpus:
-                for dst in b.gpus:
-                    self.gdr_path(src.device_id, dst.device_id)
-        return self
 
 
 # One book per live topology object; books die with their topology.

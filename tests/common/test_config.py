@@ -69,17 +69,13 @@ def test_mode_metadata_resolves_and_accepts_overrides(monkeypatch):
     assert mode_metadata() == {
         "allocator": "incremental",
         "transfer_mode": "coalesced",
-        "routing": "book",
     }
     monkeypatch.setenv(ENV_NET_ALLOCATOR, "fullscan")
     assert mode_metadata()["allocator"] == "fullscan"
-    meta = mode_metadata(
-        allocator="incremental", transfer="per_batch", routing="enumerate"
-    )
+    meta = mode_metadata(allocator="incremental", transfer="per_batch")
     assert meta == {
         "allocator": "incremental",
         "transfer_mode": "per_batch",
-        "routing": "enumerate",
     }
 
 

@@ -222,6 +222,9 @@ class TestAccounting:
         assert net.allocated_on(link) == pytest.approx(30.0)
         assert net.residual_on(link) == pytest.approx(70.0)
 
+    def test_flow_count_on_unregistered_link_is_zero(self, net):
+        assert net.flow_count_on(make_link("fresh")) == 0
+
     def test_duplicate_link_id_rejected(self, env, net):
         net.add_link(make_link("same"))
         with pytest.raises(SimulationError):

@@ -14,12 +14,7 @@ from repro.topology.paths import (
     nvlink_direct_path,
     nvlink_simple_paths,
 )
-from repro.topology.routebook import (
-    ClusterRouteBook,
-    NodeRouteBook,
-    cluster_route_book,
-    route_book,
-)
+from repro.topology.routebook import cluster_route_book, route_book
 
 PRESETS = ("dgx-v100", "dgx-a100", "a10", "h800")
 
@@ -114,42 +109,48 @@ def test_cluster_tables_match_enumeration():
     ) == _link_ids(cross_node_gdr_path(cluster, src, dst))
 
 
-@pytest.mark.parametrize("preset", PRESETS)
-def test_warm_fills_every_table(preset):
-    node = make_cluster(preset).nodes[0]
-    book = NodeRouteBook(node).warm()
-    n = len(node.gpus)
-    assert len(book._host_paths) == 2 * n
-    assert len(book._out_capacity) == n
-    assert len(book._nvlink_paths) == n * (n - 1)
-    assert len(book._nvlink_direct) == n * (n - 1)
-    assert len(book._p2p) == n * (n - 1)
-
-
-def test_cluster_warm_fills_cross_node_tables():
-    cluster = make_cluster("a10", num_nodes=3)
-    cbook = ClusterRouteBook(cluster).warm()
-    n_nodes = len(cluster.nodes)
-    gpus_per = len(cluster.nodes[0].gpus)
-    assert len(cbook._h2h) == n_nodes * (n_nodes - 1)
-    assert len(cbook._gdr) == n_nodes * (n_nodes - 1) * gpus_per * gpus_per
-
-
 def test_warm_book_serves_without_new_enumeration(monkeypatch):
-    node = make_cluster("dgx-v100").nodes[0]
-    book = NodeRouteBook(node).warm()
+    """A table entry filled by first access is served from then on."""
     import repro.topology.routebook as rb
 
-    def _boom(*args, **kwargs):  # pragma: no cover - should never run
-        raise AssertionError("warm book re-enumerated")
+    cluster = make_cluster("dgx-v100", num_nodes=2)
+    near, far = cluster.nodes
+    cbook = cluster_route_book(cluster)
+    book = cbook.node_book(near.node_id)
+    n = len(near.gpus)
 
-    monkeypatch.setattr(rb, "nvlink_simple_paths", _boom)
-    monkeypatch.setattr(rb, "gpu_to_host_path", _boom)
-    monkeypatch.setattr(rb, "host_to_gpu_path", _boom)
-    monkeypatch.setattr(rb, "gpu_p2p_pcie_path", _boom)
-    for x, y in itertools.permutations(range(len(node.gpus)), 2):
-        book.nvlink_paths(x, y)
-        book.gpu_p2p(x, y)
-    for idx in range(len(node.gpus)):
-        book.gpu_to_host(idx)
-        book.host_to_gpu(idx)
+    def access():
+        served = []
+        for x, y in itertools.permutations(range(n), 2):
+            served += [
+                book.nvlink_paths(x, y),
+                book.nvlink_direct(x, y),
+                book.gpu_p2p(x, y),
+            ]
+        for idx in range(n):
+            served += [book.gpu_to_host(idx), book.host_to_gpu(idx)]
+        for src in near.gpus:
+            for dst in far.gpus:
+                served.append(cbook.gdr_path(src.device_id, dst.device_id))
+        served.append(cbook.host_to_host(near.node_id, far.node_id))
+        return served
+
+    first = access()
+
+    def _boom(*args, **kwargs):  # pragma: no cover - should never run
+        raise AssertionError("filled book re-enumerated")
+
+    for name in (
+        "nvlink_graph",
+        "nvlink_simple_paths",
+        "nvlink_direct_path",
+        "gpu_to_host_path",
+        "host_to_gpu_path",
+        "gpu_p2p_pcie_path",
+        "cross_node_gdr_path",
+        "host_to_host_path",
+    ):
+        monkeypatch.setattr(rb, name, _boom)
+    second = access()
+    assert len(second) == len(first)
+    assert all(a is b for a, b in zip(first, second))
