@@ -4,14 +4,16 @@ A million-request trace replay runs for many wall-clock minutes with
 nothing on the terminal; :class:`RunMonitor` emits one line per
 wall-clock interval so the operator can see it is alive and bounded::
 
-    [hb endtoend] sim=812.4s done=40960 (+2048 @ 512/s) rss=58.3MB backlog=37 spooled=3.2M
+    [hb endtoend] sim=812.4s done=40960 (+2048 @ 512/s) rss=58.3MB backlog=37 spooled=3.2M sink=18%
 
 The monitor is deliberately pull-based and cheap: hot paths call
 :meth:`tick` (one ``time.monotonic`` compare when the interval has not
 elapsed) or fold results through :meth:`wrap`; RSS is read from
 ``/proc/self/statm`` and sampled only when a heartbeat fires, so the
 monitor also doubles as the peak-RSS sampler for the end-to-end
-benchmarks.
+benchmarks.  ``sink=NN%`` is the share of wall time since the monitor
+started that the sinks spent writing (their ``busy_s``), shown when a
+sink reports it.
 """
 
 from __future__ import annotations
@@ -68,8 +70,8 @@ class RunMonitor:
         self.done = 0
         self.beats = 0
         self.peak_rss_bytes = self.sample_rss()
-        started = self._now()
-        self._last_beat = started
+        self._started = self._now()
+        self._last_beat = self._started
         self._last_done = 0
 
     # -- sampling ------------------------------------------------------------
@@ -113,13 +115,18 @@ class RunMonitor:
             attainment = min(t.attainment for t in trackers)
             burn = max(t.burn_rate for t in trackers)
             slo = f" slo={attainment:.3f} burn={burn:.2f}"
+        sink = ""
+        busy = [s.busy_s for s in self.sinks if hasattr(s, "busy_s")]
+        if busy:
+            share = sum(busy) / max(now - self._started, 1e-9)
+            sink = f" sink={share:.0%}"
         self.stream.write(
             f"[hb {self.label}] {sim}done={self.done} "
             f"(+{delta} @ {delta / elapsed:.0f}/s) "
             f"rss={rss / 1e6:.1f}MB "
             f"backlog={self.event_backlog} "
             f"spooled={self.events_spooled}"
-            f"{slo}\n"
+            f"{sink}{slo}\n"
         )
         self.stream.flush()
         self.beats += 1

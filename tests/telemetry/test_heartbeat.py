@@ -14,9 +14,11 @@ class FakeClock:
 
 
 class FakeSink:
-    def __init__(self, backlog=0, events_handled=0):
+    def __init__(self, backlog=0, events_handled=0, busy_s=None):
         self.backlog = backlog
         self.events_handled = events_handled
+        if busy_s is not None:
+            self.busy_s = busy_s
 
 
 class FakeEnv:
@@ -45,7 +47,7 @@ class TestHeartbeat:
         clock, out = FakeClock(), io.StringIO()
         monitor = RunMonitor(
             env=FakeEnv(), interval=1.0, label="endtoend",
-            sinks=[FakeSink(backlog=7, events_handled=1234)],
+            sinks=[FakeSink(backlog=7, events_handled=1234, busy_s=0.5)],
             stream=out, now=clock,
         )
         clock.t = 2.0
@@ -56,6 +58,16 @@ class TestHeartbeat:
         assert "done=10" in line
         assert "backlog=7" in line
         assert "spooled=1234" in line
+        assert "sink=25%" in line  # 0.5 busy seconds of 2.0 wall
+
+    def test_sink_without_busy_time_has_no_sink_field(self):
+        clock, out = FakeClock(), io.StringIO()
+        monitor = RunMonitor(interval=1.0, sinks=[FakeSink()],
+                             stream=out, now=clock)
+        clock.t = 2.0
+        monitor.tick(done=1)
+        assert "spooled=0" in out.getvalue()
+        assert "sink=" not in out.getvalue()
 
     def test_disabled_interval_never_prints_but_samples_rss(self):
         clock, out = FakeClock(), io.StringIO()

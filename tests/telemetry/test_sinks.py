@@ -1,6 +1,9 @@
 """Streaming sinks: spool fidelity, replay oracle, crash-safety."""
 
+import dataclasses
+import gzip
 import json
+import shutil
 
 import pytest
 
@@ -18,14 +21,44 @@ from repro.telemetry import (
     iter_jsonl_events,
     replay_metrics,
 )
-from repro.telemetry.events import PlacementDecision, PoolAlloc, StorePut
+from repro.telemetry.events import (
+    PlacementDecision,
+    PoolAlloc,
+    RequestFinished,
+    StorePut,
+)
+from repro.telemetry.sinks import EVENT_TYPES, SCHEMA
 from repro.topology import make_cluster
 from repro.workflow import get_workload
+
+# One value per field annotation in repro.telemetry.events: a float
+# with a long repr, non-ASCII text, and tuples nested in tuples.
+FIELD_SAMPLES = {
+    "float": 0.1 + 0.2,
+    "int": 7,
+    "str": "n0:g1 \u00fc\u2192\u03bb",
+    "bool": True,
+    "Optional[bool]": False,
+    "tuple[str, ...]": ("n0:g0->n0:g1", "nvlink-\u00e9"),
+    "tuple[float, ...]": (0.1 + 0.2, 1e-300, 25e9),
+    "tuple[int, ...]": (3, 1, 2),
+    "tuple[tuple[str, str], ...]": (("det", "n0:g0"), ("rec", "n0:g1")),
+}
+
+
+def sample_event(cls):
+    """An instance of *cls* with every field set from FIELD_SAMPLES."""
+    return cls(**{f.name: FIELD_SAMPLES[f.type]
+                  for f in dataclasses.fields(cls)})
 
 
 def make_alloc(t):
     return PoolAlloc(t=t, device_id="n0:g0", size=1.0,
                      reserved=2.0, in_use=1.0, grew=False)
+
+
+def write_lines(path, lines):
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines))
 
 
 def run_workflow(workload="driving"):
@@ -75,7 +108,32 @@ class TestEncodeDecode:
 
     def test_unknown_type_raises(self):
         with pytest.raises(ConfigError, match="unknown telemetry event"):
-            decode_event({"run": 0, "type": "NotAnEvent"})
+            decode_event([len(EVENT_TYPES), 0, 1.0])
+
+    @pytest.mark.parametrize("name", ["events.jsonl", "events.jsonl.gz"])
+    def test_every_event_type_round_trips_through_a_file(
+        self, tmp_path, name
+    ):
+        assert "TelemetryEvent" in EVENT_TYPES  # the base class, only `t`
+        events = [
+            (run, sample_event(cls))
+            for run in (0, 1)
+            for cls in EVENT_TYPES.values()
+        ]
+        events.append((1, RequestFinished(
+            t=2.0, request_id="req-1", workflow="wf", latency=0.5,
+            slo_met=None,
+        )))
+        path = tmp_path / name
+        with JsonlEventSink(path, flush_events=5) as sink:
+            for run, event in events:
+                sink.handle(run, event)
+        replayed = list(iter_jsonl_events(path))
+        assert replayed == events
+        for got, want in zip(replayed, events):
+            assert type(got[1]) is type(want[1])
+            # repr tells tuples from lists, False from 0 and None apart.
+            assert repr(got) == repr(want)
 
 
 class TestJsonlSpoolFidelity:
@@ -141,20 +199,27 @@ class TestJsonlSpoolFidelity:
 
 class TestBuffering:
     def test_flush_on_event_count(self, tmp_path):
-        sink = JsonlEventSink(tmp_path / "e.jsonl", flush_events=3)
+        path = tmp_path / "e.jsonl"
+        sink = JsonlEventSink(path, flush_events=3)
         for i in range(2):
             sink.handle(0, make_alloc(float(i)))
         assert sink.backlog == 2
         assert sink.flushes == 0
+        assert sink.busy_s == 0.0
         sink.handle(0, make_alloc(2.0))
         assert sink.backlog == 0
         assert sink.flushes == 1
         assert sink.records_written == 3
+        assert sink.busy_s > 0.0
         sink.close()
+        # One header line plus one line per batch; the byte count
+        # includes the header.
+        assert len(path.read_text().splitlines()) == 2
+        assert sink.bytes_written == len(path.read_text())
 
     def test_flush_on_byte_threshold(self, tmp_path):
-        sink = JsonlEventSink(
-            tmp_path / "e.jsonl", flush_events=10_000, flush_bytes=64
+        sink = ChromeStreamingSink(
+            tmp_path / "trace.json", flush_events=10_000, flush_bytes=64
         )
         sink.handle(0, make_alloc(0.0))
         assert sink.flushes == 1  # one record is already > 64 bytes
@@ -174,22 +239,65 @@ class TestBuffering:
     def test_invalid_thresholds_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
             JsonlEventSink(tmp_path / "e.jsonl", flush_events=0)
+        with pytest.raises(ConfigError):
+            ChromeStreamingSink(tmp_path / "trace.json", flush_bytes=0)
+
+
+class TestSchemaHeader:
+    def test_dict_per_line_spool_is_refused(self, tmp_path):
+        path = tmp_path / "old.jsonl"
+        write_lines(path, [
+            {"run": 0, "type": "StorePut", "t": 1.5, "object_id": "o1",
+             "device_id": "n0:g1", "size": 2048.0, "placement": "gpu"},
+        ])
+        with pytest.raises(ConfigError, match="old.jsonl has no"):
+            list(iter_jsonl_events(path))
+
+    def test_different_field_list_is_refused(self, tmp_path):
+        header = json.loads(json.dumps(SCHEMA))
+        index = [name for name, _fields in header["types"]].index("PoolAlloc")
+        header["types"][index][1].pop()  # a spool from before a field
+        path = tmp_path / "e.jsonl"
+        write_lines(path, [header])
+        with pytest.raises(ConfigError, match="e.jsonl .*'PoolAlloc'"):
+            list(iter_jsonl_events(path))
+
+    @pytest.mark.parametrize("name", ["e.jsonl", "e.jsonl.gz"])
+    def test_empty_file_yields_no_events(self, tmp_path, name):
+        path = tmp_path / name
+        path.write_bytes(b"")
+        assert list(iter_jsonl_events(path)) == []
 
 
 class TestCrashSafety:
     def test_truncated_final_line_is_skipped(self, tmp_path):
         path = tmp_path / "e.jsonl"
-        with JsonlEventSink(path) as sink:
+        with JsonlEventSink(path, flush_events=3) as sink:
             for i in range(5):
                 sink.handle(0, make_alloc(float(i)))
         text = path.read_text()
-        path.write_text(text[: len(text) - 9])  # kill the last record
+        path.write_text(text[: len(text) - 9])  # kill the last batch
         replayed = list(iter_jsonl_events(path))
-        assert len(replayed) == 4
+        assert [event.t for _run, event in replayed] == [0.0, 1.0, 2.0]
+
+    def test_unclosed_gzip_spool_replays_flushed_batches(self, tmp_path):
+        # The writer dies without close(): each flush sync-flushed whole
+        # lines, but the gzip end-of-stream marker was never written.
+        path = tmp_path / "e.jsonl.gz"
+        crashed = tmp_path / "crashed.jsonl.gz"
+        sink = JsonlEventSink(path, flush_events=2)
+        for i in range(5):
+            sink.handle(0, make_alloc(float(i)))
+        shutil.copyfile(path, crashed)
+        sink.close()
+        with pytest.raises(EOFError), gzip.open(crashed, "rt") as handle:
+            handle.read()
+        replayed = list(iter_jsonl_events(crashed))
+        assert [event.t for _run, event in replayed] == [0.0, 1.0, 2.0, 3.0]
 
     def test_mid_file_corruption_raises(self, tmp_path):
         path = tmp_path / "e.jsonl"
-        with JsonlEventSink(path) as sink:
+        with JsonlEventSink(path, flush_events=1) as sink:
             for i in range(5):
                 sink.handle(0, make_alloc(float(i)))
         lines = path.read_text().splitlines()
