@@ -7,15 +7,19 @@ inter-arrival intervals (``R_window``), intermediate data sizes
 execution, ``R_size * R_con`` bytes stay reserved for ``R_window``; if
 no new request arrives within the window, the reservation lapses.  A
 minimum pool (300 MB by default) absorbs bursts.
+
+Each window keeps a sorted copy beside its FIFO deque, updated by
+bisection on every push and eviction, so a P99 is two list reads and
+numpy's ``linear`` interpolation replayed in plain floats.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Optional
-
-import numpy as np
 
 from repro.common.errors import ConfigError
 from repro.common.units import MB, MS
@@ -27,9 +31,41 @@ DEFAULT_PERCENTILE = 99.0
 DEFAULT_HISTORY = 512
 
 
+def _check_percentile(percentile: float) -> None:
+    """Reject what ``np.percentile`` would: ``percentile / 100`` outside [0, 1]."""
+    if not 0.0 <= percentile / 100 <= 1.0:
+        raise ConfigError(f"percentile must be in [0, 100], got {percentile!r}")
+
+
+def _sorted_percentile(ordered: list, percentile: float) -> float:
+    """``float(np.percentile(ordered, percentile))`` for a sorted, non-empty list.
+
+    numpy's default ``linear`` method step for step: the virtual index
+    ``(n - 1) * q`` with ``q = percentile / 100``, its floor, and
+    ``_lerp``'s two formulas split at ``t >= 0.5``; at or past the last
+    index, the maximum.
+    """
+    last = len(ordered) - 1
+    virtual = last * (percentile / 100)
+    if virtual >= last:
+        return float(ordered[last])
+    below = math.floor(virtual)
+    a = ordered[below]
+    b = ordered[below + 1]
+    t = virtual - below
+    diff = b - a
+    if t >= 0.5:
+        return float(b - diff * (1 - t))
+    return float(a + diff * t)
+
+
 @dataclass
 class FunctionHistogram:
-    """Sliding-window histograms for one function (paper Fig. 11(a))."""
+    """Sliding-window histograms for one function (paper Fig. 11(a)).
+
+    The windows change only through the ``observe_*`` hooks, which keep
+    each deque's sorted copy in step with it.
+    """
 
     history: int = DEFAULT_HISTORY
     percentile: float = DEFAULT_PERCENTILE
@@ -38,35 +74,35 @@ class FunctionHistogram:
     concurrency: Deque[int] = field(default_factory=deque)
     last_arrival: Optional[float] = None
     _live_objects: int = 0
-    # Cached P99s, invalidated on push: reservation() is probed on
-    # every trim check, far more often than the windows mutate.
-    _cache: dict = field(default_factory=dict, repr=False)
+
+    def __post_init__(self) -> None:
+        _check_percentile(self.percentile)
+        self._sorted_intervals = sorted(self.intervals)
+        self._sorted_sizes = sorted(self.sizes)
+        self._sorted_concurrency = sorted(self.concurrency)
 
     def observe_arrival(self, now: float) -> None:
         if self.last_arrival is not None:
-            self._push(self.intervals, now - self.last_arrival)
+            self._push(
+                self.intervals, self._sorted_intervals, now - self.last_arrival
+            )
         self.last_arrival = now
 
     def observe_put(self, size: float) -> None:
-        self._push(self.sizes, size)
+        self._push(self.sizes, self._sorted_sizes, size)
         self._live_objects += 1
-        self._push(self.concurrency, self._live_objects)
+        self._push(
+            self.concurrency, self._sorted_concurrency, self._live_objects
+        )
 
     def observe_consume(self) -> None:
         self._live_objects = max(0, self._live_objects - 1)
 
-    def _push(self, series: Deque, value) -> None:
+    def _push(self, series: Deque, ordered: list, value) -> None:
         series.append(value)
+        insort(ordered, value)
         while len(series) > self.history:
-            series.popleft()
-        self._cache.clear()
-
-    def _cached_percentile(self, key: str, series: Deque) -> float:
-        value = self._cache.get(key)
-        if value is None:
-            value = float(np.percentile(list(series), self.percentile))
-            self._cache[key] = value
-        return value
+            del ordered[bisect_left(ordered, series.popleft())]
 
     # -- predictions ------------------------------------------------------
     @property
@@ -74,19 +110,19 @@ class FunctionHistogram:
         """P99 inter-arrival interval; how long to keep memory warm."""
         if not self.intervals:
             return 0.0
-        return self._cached_percentile("window", self.intervals)
+        return _sorted_percentile(self._sorted_intervals, self.percentile)
 
     @property
     def r_size(self) -> float:
         if not self.sizes:
             return 0.0
-        return self._cached_percentile("size", self.sizes)
+        return _sorted_percentile(self._sorted_sizes, self.percentile)
 
     @property
     def r_con(self) -> float:
         if not self.concurrency:
             return 1.0
-        return self._cached_percentile("con", self.concurrency)
+        return _sorted_percentile(self._sorted_concurrency, self.percentile)
 
     def reservation(self, now: float) -> float:
         """Bytes to keep reserved for this function at time *now*.
@@ -114,6 +150,7 @@ class ElasticPoolManager:
     ) -> None:
         if check_interval <= 0:
             raise ConfigError("check_interval must be positive")
+        _check_percentile(percentile)
         self.env = env
         self.pool = pool
         self.min_pool = min_pool
@@ -173,7 +210,7 @@ class ElasticPoolManager:
         if not self._work_possible():
             return
         self._check_armed = True
-        self.env.process(self._check_once())
+        self.env.schedule(self.check_interval, self._check)
 
     def _work_possible(self) -> bool:
         if self.pool.reserved > self.min_pool:
@@ -184,12 +221,16 @@ class ElasticPoolManager:
             hist.reservation(now) > 0 for hist in self._histograms.values()
         )
 
-    def _check_once(self):
-        yield self.env.timeout(self.check_interval)
+    def _check(self) -> None:
+        """One trim check; re-arms now, or once the trim has finished."""
         self._check_armed = False
         if not self._running:
             return
         target = self.target_size()
         if self.pool.reserved > target:
-            yield self.pool.trim(target)
+            self.pool.trim(target).subscribe(self._after_trim)
+            return
+        self.poke()
+
+    def _after_trim(self, _trim) -> None:
         self.poke()

@@ -31,11 +31,15 @@ connected).  Two allocators exploit this, with identical semantics:
     completion timers are left untouched.  Within the component, a flow
     whose recomputed rate — or recomputed completion instant — is
     exactly unchanged keeps its pending timer (reschedule elision).
+    A flow alone on every link of its path skips the BFS, and its rate
+    comes from a closed form that replays the fill's float steps
+    (:meth:`FlowNetwork._lone_flow_rate`).
 ``fullscan``
     Components are re-derived from scratch on every event by a
     union-find sweep over all flows.  The differential-testing
     reference: its rates, event orderings, and finish times must be
-    bit-identical to ``incremental``.
+    bit-identical to ``incremental``.  It always runs the general
+    two-phase fill, so it also checks the one-flow closed form.
 
 Quiescent chunk-batch loops can additionally be coalesced into one
 *macro-flow* (:meth:`FlowNetwork.start_macro_flow`) that replays the
@@ -294,6 +298,8 @@ class FlowNetwork:
         self.env = env
         self.policy = policy
         self.allocator = allocator
+        # fullscan keeps the general fill for every component.
+        self._closed_form = allocator == "incremental"
         self._links: dict[str, _LinkState] = {}
         # flow_id -> Flow; insertion-ordered (ids are monotonic), so
         # iteration is always in flow_id order without sorting.
@@ -910,8 +916,18 @@ class FlowNetwork:
             raise SimulationError(
                 f"flow {flow.flow_id} missing from component scan"
             )
-        members: dict[int, Flow] = {flow.flow_id: flow}
         links: dict[str, _LinkState] = {}
+        for link in flow.path:
+            state = self._links[link.link_id]
+            if len(state.flows) != 1:
+                break
+            links[link.link_id] = state
+        else:
+            # Alone on every path link: the BFS below would find just
+            # *flow* and these links, in this order.
+            return [flow], links
+        members: dict[int, Flow] = {flow.flow_id: flow}
+        links = {}
         stack = [flow]
         while stack:
             current = stack.pop()
@@ -1127,10 +1143,18 @@ class FlowNetwork:
         *links* restricts the residual bookkeeping to the links the
         component actually crosses.  *now* overrides the SLO-slack
         reference instant — macro-flow schedule replay asks for rates
-        at virtual future batch starts.
+        at virtual future batch starts.  Under ``incremental`` a lone
+        flow that crosses no link twice takes the closed form.
         """
         if not flows:
             return {}
+        if (
+            self._closed_form
+            and len(flows) == 1
+            and len(links) == len(flows[0].path)
+        ):
+            flow = flows[0]
+            return {flow: self._lone_flow_rate(flow, now)}
         rates: dict[Flow, float] = {}
         residual: dict[str, float] = {
             lid: state.link.capacity for lid, state in links.items()
@@ -1160,6 +1184,43 @@ class FlowNetwork:
     # SLO-gated flows are topped up to finish within this fraction of
     # their remaining slack — comfortably early, but without hoarding.
     _SLO_SLACK_TARGET = 0.5
+
+    def _lone_flow_rate(self, flow: Flow, now: Optional[float] = None) -> float:
+        """The general fill's rate for a one-flow component, bit for bit.
+
+        Every link of the path carries only *flow*, once, so each loses
+        the same amounts in the same order.  Float subtraction is
+        monotone, so ``head`` — the bottleneck capacity minus those
+        amounts — is exactly the fill's ``min(residual)`` at each step.
+        The steps are the fill's: the phase-1 grant, the slo_gated
+        top-up (skipped on a saturated link), and the single max-min
+        pass after which a lone flow freezes.
+        """
+        head = min(link.capacity for link in flow.path)
+        rate = 0.0
+        if flow.min_rate > 0:
+            rate = max(0.0, min(flow.min_rate, flow.rate_cap, head))
+            head -= rate
+        deadline = flow.slo_deadline
+        if self.policy == "slo_gated" and deadline is not None:
+            if now is None:
+                now = self.env.now
+            if deadline > now and head > _EPS:
+                slack = (deadline - now) * self._SLO_SLACK_TARGET
+                target_rate = flow.remaining / max(slack, _EPS)
+                want = min(target_rate, flow.rate_cap) - rate
+                if want > _EPS:
+                    grant = min(want, head)
+                    rate += grant
+                    head -= grant
+        if rate < flow.rate_cap - _EPS:
+            delta = head
+            cap_head = flow.rate_cap - rate
+            if cap_head < delta:
+                delta = cap_head
+            if delta > _EPS:
+                rate += delta
+        return rate
 
     def _fill_slo_gated(
         self,

@@ -47,7 +47,12 @@ class Edge:
 
 
 class Workflow:
-    """A validated DAG of stages."""
+    """A validated DAG of stages.
+
+    A workflow is immutable once built, so every structural query is
+    answered from orders and adjacency lists computed once here; each
+    call returns a fresh list.
+    """
 
     def __init__(self, name: str, stages: list[Stage], edges: list[Edge]) -> None:
         if not stages:
@@ -59,75 +64,79 @@ class Workflow:
                 raise WorkflowError(f"duplicate stage name {stage.name!r}")
             self.stages[stage.name] = stage
         self.edges = list(edges)
-        self._graph = nx.DiGraph()
-        self._graph.add_nodes_from(self.stages)
+        graph = nx.DiGraph()
+        graph.add_nodes_from(self.stages)
+        self._edge_map: dict[tuple[str, str], Edge] = {}
         for edge in self.edges:
             for endpoint in (edge.src, edge.dst):
                 if endpoint not in self.stages:
                     raise WorkflowError(
                         f"edge references unknown stage {endpoint!r}"
                     )
-            if self._graph.has_edge(edge.src, edge.dst):
+            if graph.has_edge(edge.src, edge.dst):
                 raise WorkflowError(f"duplicate edge {edge.src}->{edge.dst}")
-            self._graph.add_edge(edge.src, edge.dst, edge=edge)
-        if not nx.is_directed_acyclic_graph(self._graph):
+            graph.add_edge(edge.src, edge.dst)
+            self._edge_map[edge.src, edge.dst] = edge
+        if not nx.is_directed_acyclic_graph(graph):
             raise WorkflowError(f"workflow {name!r} contains a cycle")
+        self._order = tuple(
+            self.stages[n] for n in nx.lexicographical_topological_sort(graph)
+        )
+        self._entry = tuple(
+            self.stages[n] for n in graph.nodes if graph.in_degree(n) == 0
+        )
+        self._exit = tuple(
+            self.stages[n] for n in graph.nodes if graph.out_degree(n) == 0
+        )
+        self._preds = {n: tuple(sorted(graph.predecessors(n))) for n in graph}
+        self._succs = {n: tuple(sorted(graph.successors(n))) for n in graph}
+        self._in_edges = {
+            n: tuple(self._edge_map[s, n] for s in preds)
+            for n, preds in self._preds.items()
+        }
+        self._out_edges = {
+            n: tuple(self._edge_map[n, d] for d in succs)
+            for n, succs in self._succs.items()
+        }
 
     # -- structure ---------------------------------------------------------
     @property
     def entry_stages(self) -> list[Stage]:
         """Stages with no predecessors (receive the request input)."""
-        return [
-            self.stages[n]
-            for n in self._graph.nodes
-            if self._graph.in_degree(n) == 0
-        ]
+        return list(self._entry)
 
     @property
     def exit_stages(self) -> list[Stage]:
         """Stages with no successors (produce the response)."""
-        return [
-            self.stages[n]
-            for n in self._graph.nodes
-            if self._graph.out_degree(n) == 0
-        ]
+        return list(self._exit)
 
     def topological_order(self) -> list[Stage]:
-        return [
-            self.stages[n] for n in nx.lexicographical_topological_sort(self._graph)
-        ]
+        return list(self._order)
 
     def predecessors(self, stage_name: str) -> list[str]:
-        self._check_stage(stage_name)
-        return sorted(self._graph.predecessors(stage_name))
+        return list(self._of_stage(self._preds, stage_name))
 
     def successors(self, stage_name: str) -> list[str]:
-        self._check_stage(stage_name)
-        return sorted(self._graph.successors(stage_name))
+        return list(self._of_stage(self._succs, stage_name))
 
     def edge(self, src: str, dst: str) -> Edge:
         try:
-            return self._graph.edges[src, dst]["edge"]
+            return self._edge_map[src, dst]
         except KeyError:
             raise WorkflowError(f"no edge {src}->{dst}") from None
 
     def in_edges(self, stage_name: str) -> list[Edge]:
-        self._check_stage(stage_name)
-        return [
-            self._graph.edges[s, d]["edge"]
-            for s, d in sorted(self._graph.in_edges(stage_name))
-        ]
+        return list(self._of_stage(self._in_edges, stage_name))
 
     def out_edges(self, stage_name: str) -> list[Edge]:
-        self._check_stage(stage_name)
-        return [
-            self._graph.edges[s, d]["edge"]
-            for s, d in sorted(self._graph.out_edges(stage_name))
-        ]
+        return list(self._of_stage(self._out_edges, stage_name))
 
-    def _check_stage(self, stage_name: str) -> None:
-        if stage_name not in self.stages:
-            raise WorkflowError(f"unknown stage {stage_name!r}")
+    @staticmethod
+    def _of_stage(table: dict[str, tuple], stage_name: str) -> tuple:
+        try:
+            return table[stage_name]
+        except KeyError:
+            raise WorkflowError(f"unknown stage {stage_name!r}") from None
 
     # -- composition helpers -------------------------------------------------
     def gpu_stages(self) -> list[Stage]:

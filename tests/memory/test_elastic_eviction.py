@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.common.errors import ConfigError
 from repro.common.units import GB, MB
 from repro.memory import (
     DeviceMemory,
@@ -72,6 +73,19 @@ class TestFunctionHistogram:
             hist.observe_put(float(i))
         assert len(hist.sizes) == 10
 
+    @pytest.mark.parametrize("percentile", [-1.0, -1e-9, 100.5, 1e3,
+                                            float("nan"), float("inf")])
+    def test_percentile_outside_range_rejected(self, percentile):
+        with pytest.raises(ConfigError):
+            FunctionHistogram(percentile=percentile)
+
+    @pytest.mark.parametrize("percentile", [0, 0.0, 50.0, 99, 100.0])
+    def test_percentile_range_bounds_accepted(self, percentile):
+        hist = FunctionHistogram(percentile=percentile)
+        hist.observe_put(5.0)
+        hist.observe_put(7.0)
+        assert 5.0 <= hist.r_size <= 7.0
+
 
 class TestElasticPoolManager:
     def test_target_includes_min_pool(self, env):
@@ -109,6 +123,51 @@ class TestElasticPoolManager:
             manager.notify_consume("det")
         # Window still open just after an arrival.
         assert manager.target_size() >= 500 * MB
+
+    @pytest.mark.parametrize("percentile", [-0.5, 101.0, float("nan")])
+    def test_percentile_outside_range_rejected(self, env, percentile):
+        device = DeviceMemory(env, "g", capacity=16 * GB)
+        pool = MemoryPool(env, device)
+        with pytest.raises(ConfigError):
+            ElasticPoolManager(env, pool, percentile=percentile)
+
+    def test_trim_check_rearms_when_the_trim_finishes(self, env):
+        device = DeviceMemory(env, "g", capacity=16 * GB)
+        pool = MemoryPool(env, device)
+        manager = ElasticPoolManager(
+            env, pool, min_pool=100 * MB, check_interval=0.25
+        )
+        proc = pool.alloc(2 * GB)
+        env.run()
+        pool.free(proc.value)
+        # A 0.5 s pre-warm window for 500 MB, opened just before start.
+        manager.notify_arrival("f")
+        env.run(until=env.now + 0.5)
+        manager.notify_arrival("f")
+        manager.notify_put("f", 500 * MB)
+        checks, trims_done = [], []
+        target_size, trim = manager.target_size, pool.trim
+
+        def spy_target():
+            checks.append(env.now)
+            return target_size()
+
+        def spy_trim(target):
+            process = trim(target)
+            process.subscribe(lambda _event: trims_done.append(env.now))
+            return process
+
+        manager.target_size = spy_target
+        pool.trim = spy_trim
+        started = env.now
+        manager.start()
+        env.run()
+        # First check trims to the open window's 500 MB and re-arms when
+        # that trim finishes; the second finds the window shut, trims to
+        # the floor, and the loop goes quiet.
+        assert checks == [started + 0.25, trims_done[0] + 0.25]
+        assert len(trims_done) == 2
+        assert pool.reserved == pytest.approx(100 * MB)
 
     def test_notify_consume_reduces_concurrency(self, env):
         device = DeviceMemory(env, "g", capacity=16 * GB)

@@ -13,6 +13,10 @@ tolerances).
 ``slo_deadline`` flows and mid-flight cancels on a DGX-style topology
 (per-GPU PCIe uplinks into two switch groups, shared host links, NIC).
 
+A hypothesis test also compares the incremental allocator's one-flow
+closed form with the general fill, which ``fullscan`` always runs, by
+``repr`` of the rate.
+
 On top of the engine-level sweeps, whole runs are pinned: the Fig. 13
 and Fig. 14 harnesses, the profiler's blame decomposition, and a
 bursty request stream on every data plane must produce the same
@@ -22,9 +26,12 @@ numbers under ``REPRO_NET_ALLOCATOR=fullscan`` as under the default.
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.common.units import GB, MB
 from repro.net import FlowNetwork, Link, LinkKind
+from repro.net.network import Flow
 from repro.sim import Environment
 from repro.telemetry import capture
 
@@ -309,3 +316,95 @@ def test_platform_stream_matches_fullscan(plane, monkeypatch):
             f"{plane}: request {want[0]} diverged: "
             f"incremental {got!r} vs fullscan {want!r}"
         )
+
+
+# -- one-flow closed form ------------------------------------------------------
+
+_NOW = 5.0
+
+
+@st.composite
+def _lone_flow_case(draw):
+    """A lone flow's parameters, leaning on the fill's edge cases."""
+    hops = draw(st.integers(min_value=1, max_value=4))
+    scale = draw(st.sampled_from([1.0, GB]))
+    caps = draw(st.lists(
+        st.floats(min_value=1.0, max_value=1e3),
+        min_size=hops, max_size=hops, unique=True,
+    ))
+    caps = [cap * scale for cap in caps]
+    bottleneck = min(caps)
+    min_rate = draw(st.one_of(
+        st.just(0.0),
+        st.floats(min_value=1e-12, max_value=1e-6),  # tiny
+        st.floats(min_value=1e-12, max_value=1.0).map(
+            lambda x: bottleneck * (1.0 + x)),  # above capacity
+        # Leaves the bottleneck a residual of at most _EPS (saturated).
+        st.floats(min_value=0.0, max_value=1e-9).map(
+            lambda x: max(bottleneck - x, 1e-12)),
+        st.floats(min_value=1e-12, max_value=1.0).map(
+            lambda x: bottleneck * x),
+    ))
+    rate_cap = draw(st.one_of(
+        st.just(float("inf")),
+        st.just(0.0),
+        st.floats(min_value=1e-12, max_value=2.0).map(
+            lambda x: bottleneck * x),
+    ))
+    size = draw(st.floats(min_value=1.0, max_value=1e3)) * scale
+    remaining = size * draw(st.one_of(
+        st.just(1.0), st.floats(min_value=1e-9, max_value=1.0),
+    ))
+    override = draw(st.one_of(
+        st.none(), st.floats(min_value=_NOW, max_value=_NOW + 10.0),
+    ))
+    ref = _NOW if override is None else override
+    slo_deadline = draw(st.one_of(
+        st.none(),
+        st.floats(min_value=1e-9, max_value=10.0).map(lambda x: ref - x),
+        st.just(ref),
+        st.floats(min_value=1e-9, max_value=10.0).map(lambda x: ref + x),
+        st.just(ref + 1e-12),
+    ))
+    return caps, min_rate, rate_cap, size, remaining, slo_deadline, override
+
+
+# Fixed cases that random floats rarely reach, each with a deadline 2 s
+# after the reference instant (slack 1 s, so the SLO target rate equals
+# ``remaining``): a top-up that ``t + (c - t)`` rounds away from ``c``; a
+# top-up, at the ``now`` override, that leaves the bottleneck under
+# _EPS, so max-min adds nothing; and a reservation that saturates the
+# bottleneck, where the top-up is skipped (without and with the
+# override).
+@pytest.mark.parametrize("policy", ["maxmin", "slo_gated"])
+@given(case=_lone_flow_case())
+@example(case=([764.0108443576374], 0.0, float("inf"), 1e3,
+               194.87550172465552, _NOW + 2.0, None))
+@example(case=([10.0], 0.0, float("inf"), 100.0, 10.0 - 5e-10,
+               _NOW + 3.0, _NOW + 1.0))
+@example(case=([10.0, 20.0], 10.0 - 5e-10, float("inf"), 100.0, 100.0,
+               _NOW + 2.0, None))
+@example(case=([20.0, 10.0], 10.0 - 5e-10, 15.0, 100.0, 100.0,
+               _NOW + 3.0, _NOW + 1.0))
+@settings(max_examples=400, deadline=None)
+def test_lone_flow_closed_form_matches_general_fill(policy, case):
+    """The one-flow closed form reproduces the two-phase fill's floats."""
+    caps, min_rate, rate_cap, size, remaining, slo_deadline, override = case
+    env = Environment(initial_time=_NOW)
+    closed = FlowNetwork(env, policy=policy, allocator="incremental")
+    general = FlowNetwork(env, policy=policy, allocator="fullscan")
+    path = [
+        Link(link_id=f"l{i}", src=f"n{i}", dst=f"n{i + 1}", capacity=cap,
+             kind=LinkKind.PCIE)
+        for i, cap in enumerate(caps)
+    ]
+    flow = Flow(env, path, size, min_rate=min_rate, rate_cap=rate_cap,
+                slo_deadline=slo_deadline)
+    flow.remaining = remaining
+    links = {link.link_id: general.link_state(link) for link in path}
+    want = general._compute_rates([flow], links, now=override)[flow]
+    got = closed._lone_flow_rate(flow, override)
+    assert repr(got) == repr(want)
+    # The incremental allocator routes a lone flow to the closed form.
+    routed = closed._compute_rates([flow], links, now=override)[flow]
+    assert repr(routed) == repr(want)

@@ -196,6 +196,52 @@ class TestHistogramProperties:
         assert min(sizes) - 1e-6 <= hist.r_size <= max(sizes) + 1e-6
 
     @given(
+        history=st.sampled_from([1, 2, 7, 512]),
+        percentile=st.one_of(
+            st.sampled_from([0.0, 50.0, 99.0, 100.0]),
+            st.floats(min_value=0.0, max_value=100.0),
+        ),
+        ops=st.lists(
+            st.tuples(
+                st.sampled_from(["arrive", "put", "put", "consume"]),
+                # A small pool of values makes duplicates common.
+                st.one_of(
+                    st.sampled_from([0.0, 0.5, 1.0, 3.0, 1e6, 2.5e9]),
+                    st.floats(min_value=0.0, max_value=1e10),
+                ),
+            ),
+            min_size=1,
+            max_size=40,
+        ),
+        repeat=st.integers(min_value=1, max_value=40),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_percentiles_bit_exact_with_numpy(
+        self, history, percentile, ops, repeat
+    ):
+        hist = FunctionHistogram(history=history, percentile=percentile)
+        now = 0.0
+        for step, (op, value) in enumerate(ops * repeat):
+            if op == "arrive":
+                now += value
+                hist.observe_arrival(now)
+            elif op == "put":
+                hist.observe_put(value)
+            else:
+                hist.observe_consume()
+            if step % 7 and step != len(ops) * repeat - 1:
+                continue
+            for got, series in (
+                (hist.r_window, hist.intervals),
+                (hist.r_size, hist.sizes),
+                (hist.r_con, hist.concurrency),
+            ):
+                if series:
+                    want = float(np.percentile(list(series), percentile))
+                    assert repr(got) == repr(want), (list(series), percentile)
+        assert len(hist.sizes) <= history
+
+    @given(
         arrival=st.floats(min_value=0.0, max_value=100.0),
         gap=st.floats(min_value=0.1, max_value=100.0),
     )
