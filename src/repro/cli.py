@@ -10,16 +10,9 @@ Commands
     Describe a topology preset (GPUs, links, NICs, asymmetry).
 ``workloads``
     Describe the evaluation workflow suite.
-``bench``
-    Run performance microbenchmarks.  ``--suite net`` (default) covers
-    the network engine (``BENCH_net.json``); ``--suite platform`` runs
-    the request-lifecycle churn benchmark (``BENCH_platform.json``);
-    ``--suite telemetry`` measures event fan-out cost with the
-    recorder and profiler attached (``BENCH_telemetry.json``);
-    ``--suite endtoend`` replays 10k/100k-request traces through the
-    streaming telemetry stack and asserts peak RSS stays flat
-    (``BENCH_endtoend.json``; name ``requests_1m`` explicitly for the
-    million-request run).
+``trace``
+    Run one experiment with telemetry attached and write a
+    Chrome/Perfetto ``trace.json`` (``--stream`` spools it to disk).
 ``profile``
     Run one experiment with the causal profiler attached: writes
     ``profile.json`` (per-request critical paths with exact blame
@@ -31,6 +24,11 @@ Commands
     episodes, entity verdicts) plus the event spool it was derived
     from, and prints an ASCII dashboard.  ``--replay`` rebuilds the
     identical document from an existing spool.
+``validate``
+    Run the claim-by-claim reproduction scorecard (slow).
+
+The simulator's own speed is measured by ``perfbench/run.py`` at the
+repository root (see ``perfbench/README.md``), not by this CLI.
 """
 
 from __future__ import annotations
@@ -359,187 +357,6 @@ def _cmd_profile(args) -> int:
     return 0 if inexact == 0 else 1
 
 
-def _bench_history(args, suite: str, document: dict, out: str) -> int:
-    """Shared bench post-processing: history append + optional compare.
-
-    Appends one dated record per run to ``BENCH_history.jsonl`` (next
-    to the suite's ``--out`` file unless ``--history`` overrides),
-    then — with ``--compare`` — diffs against the most recent
-    comparable record from *before* this run.  Returns the command's
-    exit code: 1 when a regression beyond ``--tolerance`` was flagged.
-    """
-    from repro.bench.history import (
-        HISTORY_FILENAME,
-        append_record,
-        compare_records,
-        format_compare,
-        latest_comparable,
-        load_history,
-        make_record,
-    )
-
-    if args.no_history and not args.compare:
-        return 0
-    history_path = args.history
-    if not history_path:
-        history_path = os.path.join(
-            os.path.dirname(out) or ".", HISTORY_FILENAME
-        )
-    record = make_record(suite, document)
-    history = load_history(history_path)
-    if not args.no_history:
-        append_record(record, history_path)
-        print(f"appended {suite} record to {history_path} "
-              f"({len(history) + 1} records)")
-    if not args.compare:
-        return 0
-    previous = latest_comparable(history, record)
-    result = compare_records(record, previous, tolerance=args.tolerance)
-    print()
-    print(format_compare(result))
-    return 1 if result["regressions"] else 0
-
-
-def _cmd_bench(args) -> int:
-    from repro.bench import (
-        DEFAULT_ALLOCATORS,
-        format_summary,
-        run_benchmarks,
-        write_results,
-    )
-    from repro.net.network import ALLOCATORS
-
-    if args.suite == "platform":
-        return _cmd_bench_platform(args)
-    if args.suite == "telemetry":
-        return _cmd_bench_telemetry(args)
-    if args.suite == "endtoend":
-        return _cmd_bench_endtoend(args)
-    allocators = args.allocators.split(",") if args.allocators else None
-    if allocators:
-        unknown = [a for a in allocators if a not in ALLOCATORS]
-        if unknown:
-            print(f"unknown allocator(s): {', '.join(unknown)}",
-                  file=sys.stderr)
-            print(f"choose from: {', '.join(ALLOCATORS)}", file=sys.stderr)
-            return 2
-    try:
-        document = run_benchmarks(
-            quick=args.quick,
-            names=args.benchmarks or None,
-            allocators=allocators or DEFAULT_ALLOCATORS,
-        )
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    print(format_summary(document))
-    if args.out:
-        out_dir = os.path.dirname(args.out)
-        if out_dir:
-            os.makedirs(out_dir, exist_ok=True)
-        write_results(document, args.out)
-        print(f"\nwrote {args.out}")
-    return _bench_history(args, "net", document, args.out or "BENCH_net.json")
-
-
-def _cmd_bench_platform(args) -> int:
-    from repro.bench import (
-        format_platform_summary,
-        run_platform_benchmarks,
-        write_results,
-    )
-
-    if args.allocators:
-        print("--allocators applies to the net suite only", file=sys.stderr)
-        return 2
-    try:
-        document = run_platform_benchmarks(
-            quick=args.quick,
-            names=args.benchmarks or None,
-        )
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    print(format_platform_summary(document))
-    out = args.out
-    if out == "BENCH_net.json":  # suite-specific default
-        out = "BENCH_platform.json"
-    if out:
-        out_dir = os.path.dirname(out)
-        if out_dir:
-            os.makedirs(out_dir, exist_ok=True)
-        write_results(document, out)
-        print(f"\nwrote {out}")
-    return _bench_history(args, "platform", document,
-                          out or "BENCH_platform.json")
-
-
-def _cmd_bench_telemetry(args) -> int:
-    from repro.bench import (
-        format_telemetry_summary,
-        run_telemetry_benchmarks,
-        write_results,
-    )
-
-    if args.allocators:
-        print("--allocators applies to the net suite only", file=sys.stderr)
-        return 2
-    try:
-        document = run_telemetry_benchmarks(
-            quick=args.quick,
-            names=args.benchmarks or None,
-        )
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    print(format_telemetry_summary(document))
-    out = args.out
-    if out == "BENCH_net.json":  # suite-specific default
-        out = "BENCH_telemetry.json"
-    if out:
-        out_dir = os.path.dirname(out)
-        if out_dir:
-            os.makedirs(out_dir, exist_ok=True)
-        write_results(document, out)
-        print(f"\nwrote {out}")
-    return _bench_history(args, "telemetry", document,
-                          out or "BENCH_telemetry.json")
-
-
-def _cmd_bench_endtoend(args) -> int:
-    from repro.bench import (
-        format_endtoend_summary,
-        run_endtoend_benchmarks,
-        write_results,
-    )
-
-    if args.allocators:
-        print("--allocators applies to the net suite only", file=sys.stderr)
-        return 2
-    try:
-        document = run_endtoend_benchmarks(
-            quick=args.quick,
-            names=args.benchmarks or None,
-            heartbeat=args.heartbeat,
-            spool_dir=args.spool_dir,
-        )
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    print(format_endtoend_summary(document))
-    out = args.out
-    if out == "BENCH_net.json":  # suite-specific default
-        out = "BENCH_endtoend.json"
-    if out:
-        out_dir = os.path.dirname(out)
-        if out_dir:
-            os.makedirs(out_dir, exist_ok=True)
-        write_results(document, out)
-        print(f"\nwrote {out}")
-    return _bench_history(args, "endtoend", document,
-                          out or "BENCH_endtoend.json")
-
-
 def _cmd_health(args) -> int:
     """``repro health``: run an experiment, report SLO + entity health.
 
@@ -714,61 +531,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("workloads", help="describe the workflow suite")
 
-    bench = sub.add_parser(
-        "bench",
-        help="run performance microbenchmarks (see benchmarks/perf/)",
-    )
-    bench.add_argument(
-        "benchmarks", nargs="*",
-        help="benchmark names to run (default: all in the suite)",
-    )
-    bench.add_argument(
-        "--suite",
-        choices=("net", "platform", "telemetry", "endtoend"),
-        default="net",
-        help="benchmark suite: network engine (default), the "
-             "request-lifecycle platform, telemetry fan-out, or the "
-             "end-to-end streaming macrobenchmark",
-    )
-    bench.add_argument("--quick", action="store_true",
-                       help="scaled-down parameters for CI smoke runs")
-    bench.add_argument("--out", default="BENCH_net.json",
-                       help="JSON results file (default: BENCH_net.json, "
-                            "or BENCH_<suite>.json for the other suites)")
-    bench.add_argument(
-        "--allocators",
-        help="comma-separated allocator modes "
-             "(default: incremental)",
-    )
-    bench.add_argument(
-        "--heartbeat", type=float, default=0.0,
-        help="endtoend suite: print a live progress line every N wall "
-             "seconds (0 disables)",
-    )
-    bench.add_argument(
-        "--spool-dir",
-        help="endtoend suite: keep spooled telemetry under this "
-             "directory instead of a deleted temp dir",
-    )
-    bench.add_argument(
-        "--history",
-        help="bench trajectory file to append this run to (default: "
-             "BENCH_history.jsonl next to --out)",
-    )
-    bench.add_argument(
-        "--no-history", action="store_true",
-        help="skip appending this run to the bench trajectory",
-    )
-    bench.add_argument(
-        "--compare", action="store_true",
-        help="diff against the most recent comparable history record; "
-             "exit 1 on a regression beyond --tolerance",
-    )
-    bench.add_argument(
-        "--tolerance", type=float, default=0.15,
-        help="relative noise tolerance for --compare (default 0.15)",
-    )
-
     sub.add_parser(
         "validate",
         help="run the claim-by-claim reproduction scorecard (slow)",
@@ -786,7 +548,6 @@ def main(argv=None) -> int:
         "profile": _cmd_profile,
         "health": _cmd_health,
         "workloads": _cmd_workloads,
-        "bench": _cmd_bench,
         "validate": _cmd_validate,
     }
     return handlers[args.command](args)

@@ -20,7 +20,7 @@ default.
 from __future__ import annotations
 
 import os
-from typing import Dict, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.common.errors import ConfigError
 
@@ -28,7 +28,6 @@ __all__ = [
     "resolve_mode",
     "net_allocator",
     "net_transfer_mode",
-    "mode_metadata",
     "NET_ALLOCATORS",
     "NET_TRANSFER_MODES",
     "ENV_NET_ALLOCATOR",
@@ -95,20 +94,3 @@ def net_transfer_mode(override: Optional[str] = None) -> str:
         default="coalesced",
         override=override,
     )
-
-
-def mode_metadata(
-    *,
-    allocator: Optional[str] = None,
-    transfer: Optional[str] = None,
-) -> Dict[str, object]:
-    """Resolved mode knobs as a flat dict, for stamping BENCH_*.json.
-
-    Callers that instantiated a network/engine pass the modes they
-    actually used; omitted knobs resolve from the environment the same
-    way a fresh harness would.
-    """
-    return {
-        "allocator": net_allocator(allocator),
-        "transfer_mode": net_transfer_mode(transfer),
-    }

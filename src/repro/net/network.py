@@ -307,8 +307,9 @@ class FlowNetwork:
         # Live macro-flow count: lets start_flow skip the O(path)
         # macro-split sweep entirely in macro-free workloads.
         self._macro_live = 0
-        # Instrumentation (cheap, always on; exported by `repro bench`
-        # and :meth:`export_metrics`).
+        # Instrumentation (cheap, always on): perfbench/run.py derives
+        # its net.* per-layer metrics from these counters, and the
+        # allocator differential compares them across allocators.
         self.realloc_count = 0
         self.realloc_flows = 0  # cumulative component sizes
         self.flows_started = 0
@@ -320,23 +321,6 @@ class FlowNetwork:
         # Macro-flow coalescing effectiveness.
         self.macro_coalesced = 0
         self.macro_splits = 0
-
-    def export_metrics(self, registry) -> None:
-        """Publish allocator counters into a telemetry MetricsRegistry.
-
-        Counters are monotonic; repeated exports increment by the
-        delta, so the registry tracks the live values.
-        """
-        for name, value in (
-            ("net.realloc_count", self.realloc_count),
-            ("net.timer_reschedules", self.timer_reschedules),
-            ("net.timer_elisions", self.timer_elisions),
-            ("net.macro_coalesced", self.macro_coalesced),
-            ("net.macro_splits", self.macro_splits),
-        ):
-            counter = registry.counter(name)
-            if value > counter.value:
-                counter.inc(value - counter.value)
 
     # -- link registry ----------------------------------------------------
     def add_link(self, link: Link) -> None:
@@ -387,13 +371,6 @@ class FlowNetwork:
     @property
     def active_flows(self) -> set[Flow]:
         return set(self._flows.values())
-
-    @property
-    def mean_component_size(self) -> float:
-        """Mean number of flows per rate recomputation so far."""
-        if self.realloc_count == 0:
-            return 0.0
-        return self.realloc_flows / self.realloc_count
 
     # -- flow lifecycle ----------------------------------------------------
     def start_flow(

@@ -49,8 +49,8 @@ class PendingQueue:
         self._dead_slots = 0
         self._object_request: dict[str, str] = {}
         self._request_objects: dict[str, list[str]] = {}
-        # Operation counters, reported by the request_churn benchmark
-        # so queue-cost regressions show up in BENCH_platform.json.
+        # Operation counters; perfbench's traced run reports their sum
+        # per request as platform.queue_ops_per_req.
         self.counters = {
             "enqueue": 0,
             "finish": 0,

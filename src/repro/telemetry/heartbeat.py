@@ -4,22 +4,20 @@ A million-request trace replay runs for many wall-clock minutes with
 nothing on the terminal; :class:`RunMonitor` emits one line per
 wall-clock interval so the operator can see it is alive and bounded::
 
-    [hb endtoend] sim=812.4s done=40960 (+2048 @ 512/s) rss=58.3MB backlog=37 spooled=3.2M sink=18%
+    [hb run] sim=812.4s done=40960 (+2048 @ 512/s) rss=58.3MB backlog=37 spooled=3.2M sink=18%
 
 The monitor is deliberately pull-based and cheap: hot paths call
 :meth:`tick` (one ``time.monotonic`` compare when the interval has not
 elapsed) or fold results through :meth:`wrap`; RSS is read from
-``/proc/self/statm`` and sampled only when a heartbeat fires, so the
-monitor also doubles as the peak-RSS sampler for the end-to-end
-benchmarks.  ``sink=NN%`` is the share of wall time since the monitor
-started that the sinks spent writing (their ``busy_s``), shown when a
-sink reports it.
+``/proc/self/statm`` and sampled only when a heartbeat fires, and the
+highest sample is kept as ``peak_rss_bytes``.  ``sink=NN%`` is the
+share of wall time since the monitor started that the sinks spent
+writing (their ``busy_s``), shown when a sink reports it.
 """
 
 from __future__ import annotations
 
 import os
-import resource
 import sys
 import time
 from typing import Callable, Optional, Sequence
@@ -37,14 +35,21 @@ def current_rss_bytes() -> int:
         with open("/proc/self/statm") as handle:
             return int(handle.read().split()[1]) * _PAGE_SIZE
     except (OSError, IndexError, ValueError):
-        return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
+        # Unix-only module: imported here so ``import repro`` works
+        # where it is missing.
+        import resource
+
+        maxrss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        # macOS reports ru_maxrss in bytes, Linux and the BSDs in KiB.
+        return maxrss if sys.platform == "darwin" else maxrss * 1024
 
 
 class RunMonitor:
     """Wall-clock-paced heartbeat + RSS sampler for streaming runs.
 
     ``interval <= 0`` disables the printed heartbeat but keeps the
-    counters and RSS sampling (the benchmarks run silent by default).
+    counters and RSS sampling, for a caller that wants only ``done``
+    and ``peak_rss_bytes``.
     """
 
     def __init__(

@@ -1,4 +1,4 @@
-"""Mode-knob resolution: precedence, validation, metadata stamping."""
+"""Mode-knob resolution: precedence and validation."""
 
 import pytest
 
@@ -7,7 +7,6 @@ from repro.common.config import (
     ENV_NET_TRANSFER,
     NET_ALLOCATORS,
     NET_TRANSFER_MODES,
-    mode_metadata,
     net_allocator,
     net_transfer_mode,
     resolve_mode,
@@ -63,20 +62,6 @@ def test_resolve_mode_reports_source(monkeypatch):
     with pytest.raises(ConfigError, match="from env REPRO_TEST_KNOB"):
         resolve_mode("thing", env_var="REPRO_TEST_KNOB", valid=("a",),
                      default="a")
-
-
-def test_mode_metadata_resolves_and_accepts_overrides(monkeypatch):
-    assert mode_metadata() == {
-        "allocator": "incremental",
-        "transfer_mode": "coalesced",
-    }
-    monkeypatch.setenv(ENV_NET_ALLOCATOR, "fullscan")
-    assert mode_metadata()["allocator"] == "fullscan"
-    meta = mode_metadata(allocator="incremental", transfer="per_batch")
-    assert meta == {
-        "allocator": "incremental",
-        "transfer_mode": "per_batch",
-    }
 
 
 def test_all_allocators_construct_networks():

@@ -297,10 +297,22 @@ class TestTimerElision:
     def test_elisions_fire_under_fanin_hotspot(self):
         # The completion-time predicate (the rate-equality one was dead:
         # max-min recomputes almost never reproduce the exact bits).
-        from repro.bench.netflow import bench_fanin_hotspot
+        # 32 slots restart flows back-to-back on one shared link, so
+        # every arrival and departure refills one merged component.
+        env = Environment()
+        net = FlowNetwork(env, allocator="incremental")
+        hot = link("fanin.hot", "many", "gpu", 100 * MB)
 
-        record = bench_fanin_hotspot("incremental", flows=32, rounds=4)
-        assert record["timer_elisions"] > 0
+        def slot(idx):
+            for round_no in range(4):
+                size = (1 + (idx * 31 + round_no * 7) % 13) * MB / 8
+                yield net.start_flow([hot], size).done
+
+        for idx in range(32):
+            env.process(slot(idx))
+        env.run()
+        assert net.flows_started == 32 * 4
+        assert net.timer_elisions > 0
 
     def test_cancel_flow_still_exact_after_elision_bookkeeping(self):
         env = Environment()

@@ -59,8 +59,7 @@ class TestResultRetirement:
         platform's results, the plane's per-transfer records, and each
         replica's per-invocation execution history; a streaming run
         drops all three (their exact counters survive) so RSS stays
-        flat in request count — the property BENCH_endtoend.json's
-        rss_check asserts at 100k.
+        flat in request count.
         """
         trace = make_trace(**TRACE_KW)
         plat, dep = fresh(keep_results=False)

@@ -1,8 +1,12 @@
 """Run monitor: heartbeat cadence, RSS sampling, sink accounting."""
 
 import io
+import sys
+import types
 
-from repro.telemetry import RunMonitor, current_rss_bytes
+import pytest
+
+from repro.telemetry import RunMonitor, current_rss_bytes, heartbeat
 
 
 class FakeClock:
@@ -28,6 +32,23 @@ class FakeEnv:
 def test_current_rss_is_positive_and_plausible():
     rss = current_rss_bytes()
     assert 1_000_000 < rss < 1 << 40  # >1MB, <1TB
+
+
+@pytest.mark.parametrize("platform, scale", [("darwin", 1), ("linux", 1024)])
+def test_current_rss_fallback_units(monkeypatch, platform, scale):
+    # Without /proc the high-water mark comes from getrusage, whose
+    # ru_maxrss is bytes on macOS and KiB on Linux.
+    def no_proc(*_args, **_kwargs):
+        raise OSError("no /proc")
+
+    usage = types.SimpleNamespace(ru_maxrss=50_000)
+    fake_resource = types.SimpleNamespace(
+        RUSAGE_SELF=0, getrusage=lambda _who: usage,
+    )
+    monkeypatch.setattr(heartbeat, "open", no_proc, raising=False)
+    monkeypatch.setitem(sys.modules, "resource", fake_resource)
+    monkeypatch.setattr(sys, "platform", platform)
+    assert current_rss_bytes() == 50_000 * scale
 
 
 class TestHeartbeat:
