@@ -38,6 +38,7 @@ import os
 import sys
 from typing import Callable
 
+from repro.common.errors import ConfigError
 from repro.common.units import GB
 from repro.experiments import (
     ablations,
@@ -364,7 +365,9 @@ def _cmd_health(args) -> int:
     document is built **from the spool**, never from live simulator
     state, so ``repro health --replay <spool>`` on the same file
     reproduces the identical verdicts (the bit-identical contract the
-    acceptance tests pin).
+    acceptance tests pin).  A spool that cannot be read (missing, or
+    written with a different event schema) exits 2 without writing
+    ``--out``.
     """
     import json
 
@@ -404,7 +407,11 @@ def _cmd_health(args) -> int:
             os.makedirs(spool_dir, exist_ok=True)
         with capture(sinks=[JsonlEventSink(spool)]):
             tables = quick() if args.quick else full()
-    state = fold_runs(spool, specs)
+    try:
+        state = fold_runs(spool, specs)
+    except (ConfigError, OSError) as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     health = build_health(spool, specs, state=state)
     with open(args.out, "w") as handle:
         json.dump(health, handle, indent=2, sort_keys=True)

@@ -214,31 +214,19 @@ def run_workload_on_plane(
     plane_kwargs: Optional[dict] = None,
     placement: str = "mapa",
     replicas: int = 1,
-    admission=None,
-    dispatch: str = "round-robin",
-    autoscaler=None,
     platform_kwargs: Optional[dict] = None,
 ) -> tuple[Testbed, list[RequestResult], WorkloadSpec]:
     """Deploy one workload, replay one trace, return the results.
 
-    ``admission``/``dispatch``/``autoscaler`` feed the platform's
-    lifecycle pipeline (defaults preserve seed behaviour exactly);
-    ``platform_kwargs`` passes anything else straight through to
+    ``platform_kwargs`` passes straight through to
     :class:`~repro.platform.ServerlessPlatform`.
     """
-    merged_kwargs = {
-        "placement": placement,
-        "admission": admission,
-        "dispatch": dispatch,
-        "autoscaler": autoscaler,
-    }
-    merged_kwargs.update(platform_kwargs or {})
     testbed = build_testbed(
         preset=preset,
         num_nodes=num_nodes,
         plane_name=plane_name,
         plane_kwargs=plane_kwargs,
-        platform_kwargs=merged_kwargs,
+        platform_kwargs={"placement": placement, **(platform_kwargs or {})},
     )
     workload = get_workload(workload_name)
     deployment = testbed.platform.deploy(

@@ -1,26 +1,12 @@
-"""Serverless platform: a pipeline of composable lifecycle stages.
+"""Serverless platform: the engine plus its request-path pieces.
 
 ``platform`` keeps the engine (deployment, workflow execution, trace
-replay); the request path is assembled from sibling modules —
-``admission`` (load shedding), ``queueing`` (pending-request index +
-per-stage queues), ``lifecycle`` (request state machine + results),
-``dispatch`` (replica selection) and ``scaling`` (autoscaling).
+replay); the request path uses two sibling modules — ``queueing``
+(pending-request index + per-stage depth counters) and ``lifecycle``
+(request state machine + results).  Every arrival is admitted, and a
+deployment's replicas serve requests round-robin in arrival order.
 """
 
-from repro.platform.admission import (
-    AdmissionConfig,
-    AdmissionController,
-    RequestRejected,
-    TokenBucket,
-)
-from repro.platform.dispatch import (
-    DISPATCHERS,
-    DispatchPolicy,
-    LeastOutstandingDispatch,
-    QueueDepthDispatch,
-    RoundRobinDispatch,
-    make_dispatch,
-)
 from repro.platform.lifecycle import (
     RequestLifecycle,
     RequestResult,
@@ -33,35 +19,15 @@ from repro.platform.platform import (
     build_platform,
 )
 from repro.platform.queueing import PendingQueue, StageQueue
-from repro.platform.scaling import (
-    AUTOSCALERS,
-    Autoscaler,
-    QueueDepthAutoscaler,
-    make_autoscaler,
-)
 
 __all__ = [
-    "AUTOSCALERS",
-    "AdmissionConfig",
-    "AdmissionController",
-    "Autoscaler",
-    "DISPATCHERS",
     "Deployment",
-    "DispatchPolicy",
-    "LeastOutstandingDispatch",
     "PendingQueue",
-    "QueueDepthAutoscaler",
-    "QueueDepthDispatch",
     "RequestLifecycle",
-    "RequestRejected",
     "RequestResult",
     "RequestState",
-    "RoundRobinDispatch",
     "ServerlessPlatform",
     "StageQueue",
     "StageRecord",
-    "TokenBucket",
     "build_platform",
-    "make_autoscaler",
-    "make_dispatch",
 ]

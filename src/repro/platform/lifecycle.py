@@ -2,17 +2,16 @@
 
 A request moves through an explicit state machine::
 
-    ARRIVED --> ADMITTED --> (stage spans) --> EGRESS --> FINISHED
-        \\--> REJECTED
+    ARRIVED --> (stage spans) --> EGRESS --> FINISHED
 
-:class:`RequestLifecycle` owns the transitions, constructs the
-:class:`RequestResult` (or the typed
-:class:`~repro.platform.admission.RequestRejected` outcome), and is
-the single place request-level telemetry is published from — the
-engine drives the simulation and calls in; it never touches the bus
-directly.  Illegal transitions raise immediately, so a refactor that
-reorders the pipeline fails loudly instead of producing silently
-misattributed results.
+Every arrival is admitted, so a request is in the pipeline from the
+moment it arrives.  :class:`RequestLifecycle` owns the transitions,
+constructs the :class:`RequestResult`, and is the single place
+request-level telemetry is published from — the engine drives the
+simulation and calls in; it never touches the bus directly.  Illegal
+transitions raise immediately, so a refactor that reorders the
+pipeline fails loudly instead of producing silently misattributed
+results.
 """
 
 from __future__ import annotations
@@ -22,15 +21,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.common.errors import SimulationError
-from repro.platform.admission import RequestRejected
 from repro.sim.core import Environment
-from repro.telemetry.events import (
-    RequestAdmitted,
-    RequestArrived,
-    RequestFinished,
-    StageSpan,
-)
-from repro.telemetry.events import RequestRejected as RequestRejectedEvent
+from repro.telemetry.events import RequestArrived, RequestFinished, StageSpan
 
 
 @dataclass
@@ -95,18 +87,14 @@ class RequestResult:
 
 class RequestState(enum.Enum):
     ARRIVED = "arrived"
-    ADMITTED = "admitted"
     EGRESS = "egress"
     FINISHED = "finished"
-    REJECTED = "rejected"
 
 
 _TRANSITIONS: dict[RequestState, tuple[RequestState, ...]] = {
-    RequestState.ARRIVED: (RequestState.ADMITTED, RequestState.REJECTED),
-    RequestState.ADMITTED: (RequestState.EGRESS,),
+    RequestState.ARRIVED: (RequestState.EGRESS,),
     RequestState.EGRESS: (RequestState.FINISHED,),
     RequestState.FINISHED: (),
-    RequestState.REJECTED: (),
 }
 
 
@@ -145,34 +133,6 @@ class RequestLifecycle:
                 f"{self.state.value} -> {to.value}"
             )
         self.state = to
-
-    def admit(self, queue_depth: int) -> None:
-        self._transition(RequestState.ADMITTED)
-        bus = self.env.telemetry
-        if bus is not None:
-            bus.publish(RequestAdmitted(
-                t=self.env.now,
-                request_id=self.request_id,
-                workflow=self.workflow,
-                queue_depth=queue_depth,
-            ))
-
-    def reject(self, reason: str) -> RequestRejected:
-        self._transition(RequestState.REJECTED)
-        bus = self.env.telemetry
-        if bus is not None:
-            bus.publish(RequestRejectedEvent(
-                t=self.env.now,
-                request_id=self.request_id,
-                workflow=self.workflow,
-                reason=reason,
-            ))
-        return RequestRejected(
-            request_id=self.request_id,
-            workflow=self.workflow,
-            arrived_at=self.result.arrived_at,
-            reason=reason,
-        )
 
     def begin_egress(self) -> None:
         self._transition(RequestState.EGRESS)

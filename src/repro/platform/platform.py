@@ -1,27 +1,22 @@
 """The serverless inference platform (INFless-style substrate, §5).
 
 Ties together topology, data plane, placement, pre-warming and the
-workflow engine.  Since the lifecycle refactor the request path is an
-explicit pipeline of composable pieces, each in its own module:
+workflow engine.  The request path uses two sibling modules:
 
-- :mod:`repro.platform.admission` — concurrency caps and token-bucket
-  load shedding in front of the queue (default: unlimited);
 - :mod:`repro.platform.queueing` — the indexed pending-request
-  structure backing GROUTER's eviction oracle, plus per-stage
-  FIFO/priority queues with optional backpressure;
-- :mod:`repro.platform.lifecycle` — the ARRIVED → ADMITTED → stage
-  spans → EGRESS → FINISHED/REJECTED state machine that owns
-  :class:`RequestResult` construction and telemetry;
-- :mod:`repro.platform.dispatch` — replica selection policies
-  (round-robin, least-outstanding, queue-depth-aware);
-- :mod:`repro.platform.scaling` — pluggable autoscaling of per-stage
-  replica sets against queue depth.
+  structure backing GROUTER's eviction oracle, plus per-stage depth
+  counters;
+- :mod:`repro.platform.lifecycle` — the ARRIVED → stage spans →
+  EGRESS → FINISHED state machine that owns :class:`RequestResult`
+  construction and telemetry.
 
 This module keeps the engine: :class:`Deployment` pins one workflow's
 stages onto devices; :meth:`ServerlessPlatform.submit` drives one
 request through the DAG:
 
-1. admission control accepts (or sheds) the arrival;
+1. the request is admitted on arrival and takes the deployment's next
+   dispatch number, which picks its replica of every stage
+   round-robin;
 2. the request input lands in host memory (I/O ingress);
 3. each stage waits for its (taken) in-edges, enters its stage queue,
    ``Get``s every input to its own device, executes on its time-shared
@@ -30,10 +25,9 @@ request through the DAG:
    gFn-host leg of Fig. 3's breakdown, accounted separately in
    ``RequestResult.egress_time``.
 
-With the default policies (unlimited admission, FIFO stage queues,
-round-robin dispatch, no autoscaler) the engine's event sequence is
-bit-identical to the pre-refactor monolith; ``tests/platform/
-test_differential.py`` pins that against golden seed outputs.
+The engine's event sequence is bit-identical to the pre-refactor
+monolith; ``tests/platform/test_differential.py`` pins that against
+golden seed outputs.
 """
 
 from __future__ import annotations
@@ -53,19 +47,12 @@ from repro.functions.spec import (
     FunctionSpec,
     OutputModel,
 )
-from repro.platform.admission import (
-    AdmissionConfig,
-    AdmissionController,
-    RequestRejected,
-)
-from repro.platform.dispatch import DispatchPolicy, make_dispatch
 from repro.platform.lifecycle import (
     RequestLifecycle,
     RequestResult,
     StageRecord,
 )
 from repro.platform.queueing import PendingQueue, StageQueue
-from repro.platform.scaling import Autoscaler, make_autoscaler
 from repro.scheduler.placement import (
     PlacementPolicy,
     PlacementResult,
@@ -77,7 +64,6 @@ from repro.sim.core import Environment, Process
 from repro.sim.resources import Resource
 from repro.storage.objects import DataRef
 from repro.telemetry.bus import EventBus
-from repro.telemetry.events import AdmissionTokens, ReplicaScaled
 from repro.topology.cluster import ClusterTopology
 from repro.topology.devices import Gpu
 from repro.topology.node import PCIE3_BW
@@ -95,6 +81,8 @@ __all__ = [
 INGRESS = "__ingress__"
 EGRESS = "__egress__"
 SLO_FLOOR_SLACK = 1 * MS
+#: CPU slots per node for CPU-side functions.
+CPU_CAPACITY = 32
 
 
 def _io_spec(name: str) -> FunctionSpec:
@@ -111,15 +99,15 @@ class Deployment:
     """One workflow pinned onto the cluster.
 
     ``replica_sets`` maps each stage to one or more warm instances
-    (autoscaled replicas on distinct GPUs); the platform's dispatch
-    policy spreads requests over them.  ``stage_queues`` gate entry to
-    each stage's replica set.  ``instances`` keeps the first replica
-    of each stage for convenience.
+    (``deploy(replicas=N)``, each replica placed independently);
+    requests are spread over them round-robin by dispatch number.
+    ``stage_queues`` count the requests inside each stage.
+    ``instances`` keeps the first replica of each stage for
+    convenience.
     """
 
     workflow_id: str
     workload: WorkloadSpec
-    placement: PlacementResult
     replica_sets: dict[str, list[FunctionInstance]]
     batch: int
     stage_inputs: dict[str, float]  # statically propagated input sizes
@@ -149,7 +137,7 @@ class Deployment:
         return seq
 
     def instance_for(self, stage_name: str, dispatch: int) -> FunctionInstance:
-        """Round-robin replica lookup (kept for compatibility)."""
+        """The replica serving one request's stage: round-robin."""
         replicas = self.replica_sets[stage_name]
         return replicas[dispatch % len(replicas)]
 
@@ -164,16 +152,10 @@ class ServerlessPlatform:
         plane: DataPlane,
         placement: str | PlacementPolicy = "mapa",
         prewarm: bool = True,
-        cpu_capacity: int = 32,
         slo_multiplier: float = 1.5,
         gpu_sharing: str = "temporal",
         spatial_slots: int = 2,
         spatial_slowdown: float = 1.3,
-        admission: Union[AdmissionConfig, AdmissionController, None] = None,
-        dispatch: str | DispatchPolicy = "round-robin",
-        autoscaler: Union[str, Autoscaler, None] = None,
-        queue_policy: str = "fifo",
-        stage_queue_limit: Optional[int] = None,
         result_sink: Optional[Callable[[RequestResult], None]] = None,
         keep_results: bool = True,
     ) -> None:
@@ -192,10 +174,6 @@ class ServerlessPlatform:
             )
         if spatial_slots < 1 or spatial_slowdown < 1.0:
             raise SchedulingError("invalid spatial sharing parameters")
-        if queue_policy not in ("fifo", "priority"):
-            raise SchedulingError(
-                f"unknown stage queue policy {queue_policy!r}"
-            )
         self.gpu_sharing = gpu_sharing
         self.spatial_slots = spatial_slots
         self.spatial_slowdown = spatial_slowdown
@@ -205,26 +183,12 @@ class ServerlessPlatform:
             for gpu in cluster.all_gpus()
         }
         self.cpu_resources: dict[str, Resource] = {
-            node.node_id: Resource(env, capacity=cpu_capacity)
+            node.node_id: Resource(env, capacity=CPU_CAPACITY)
             for node in cluster.nodes
         }
         self.speed_factor = SPEED_FACTORS.get(
             cluster.nodes[0].spec.name, 1.0
         )
-        # -- lifecycle pipeline pieces ------------------------------------
-        if admission is None:
-            admission = AdmissionController()
-        elif isinstance(admission, AdmissionConfig):
-            admission = AdmissionController(admission)
-        self.admission = admission
-        if isinstance(dispatch, str):
-            dispatch = make_dispatch(dispatch)
-        self.dispatch = dispatch
-        if isinstance(autoscaler, str):
-            autoscaler = make_autoscaler(autoscaler)
-        self.autoscaler = autoscaler
-        self.queue_policy = queue_policy
-        self.stage_queue_limit = stage_queue_limit
         self.queue = PendingQueue()
         plane.attach_queue_oracle(self.queue)
         self._instance_load: dict[str, int] = {}
@@ -241,8 +205,9 @@ class ServerlessPlatform:
             # byte/copy counters survive, latency distributions do not).
             plane.metrics.keep_records = False
         self.results: list[RequestResult] = []
-        self.rejections: list[RequestRejected] = []
         self.completed_count = 0
+        # Every arrival is admitted, so this stays 0; perfbench's
+        # harness still reports it as its ``rejected`` count.
         self.rejection_count = 0
         self._tracer = None
 
@@ -286,10 +251,9 @@ class ServerlessPlatform:
         """Place and instantiate every stage of *workload*.
 
         ``replicas > 1`` provisions that many warm instances per stage
-        (each placed independently); the dispatch policy fans requests
-        over them — the simple horizontal autoscaling of serverless
-        platforms, which the pluggable autoscaler can later grow or
-        shrink per stage.
+        (each placed independently), and requests are spread over them
+        round-robin — the static horizontal scaling of serverless
+        platforms.
 
         ``slo_multiplier`` overrides the platform default for this
         deployment: latency-critical services run tight multipliers,
@@ -304,7 +268,6 @@ class ServerlessPlatform:
         replica_sets: dict[str, list[FunctionInstance]] = {
             stage.name: [] for stage in workflow.topological_order()
         }
-        placement = None
         for _replica in range(replicas):
             placement = self.placement_policy.place(
                 workflow,
@@ -340,18 +303,12 @@ class ServerlessPlatform:
             finish[stage.name] = start + stage_slos[stage.name]
         e2e_slo_estimate = max(finish.values())
         stage_queues = {
-            stage.name: StageQueue(
-                self.env,
-                stage.name,
-                policy=self.queue_policy,
-                maxsize=self.stage_queue_limit,
-            )
+            stage.name: StageQueue(self.env, stage.name)
             for stage in workflow.topological_order()
         }
         deployment = Deployment(
             workflow_id=workflow_id,
             workload=workload,
-            placement=placement,
             replica_sets=replica_sets,
             batch=batch,
             stage_inputs=stage_inputs,
@@ -409,86 +366,6 @@ class ServerlessPlatform:
         instance.keep_executions = self.keep_results
         return instance
 
-    # -- replica scaling -------------------------------------------------------
-    def scale_stage(
-        self, deployment: Deployment, stage_name: str, delta: int
-    ) -> int:
-        """Grow (+delta) or shrink (-delta) one stage's replica set.
-
-        Growth places each new replica with the platform's placement
-        policy (weights reserved, pre-warmed when enabled); shrinking
-        decommissions the newest replicas, releasing their weight
-        reservations — in-flight work on a removed replica completes,
-        it just stops receiving dispatches.  The set never drops below
-        one replica.  Returns the new replica count.
-        """
-        replicas = deployment.replica_sets[stage_name]
-        if delta == 0:
-            return len(replicas)
-        workflow = deployment.workflow
-        stage = workflow.stages[stage_name]
-        if delta > 0:
-            for _ in range(delta):
-                placement = self.placement_policy.place(
-                    workflow, self.cluster, load=self._instance_load
-                )
-                publish_placement(
-                    self.env, self.placement_policy, workflow, placement
-                )
-                instance = self._instantiate(stage, placement)
-                if self.prewarm_enabled:
-                    self.prewarmer.prewarm(instance.instance_id, self.env.now)
-                replicas.append(instance)
-        else:
-            for _ in range(-delta):
-                if len(replicas) <= 1:
-                    break
-                self._decommission(replicas.pop(), stage)
-        bus = self.env.telemetry
-        if bus is not None:
-            queue = deployment.stage_queues.get(stage_name)
-            bus.publish(ReplicaScaled(
-                t=self.env.now,
-                workflow=deployment.workflow_id,
-                stage=stage_name,
-                delta=delta,
-                replicas=len(replicas),
-                queue_depth=queue.depth if queue is not None else 0,
-            ))
-        return len(replicas)
-
-    def _decommission(self, instance: FunctionInstance, stage: Stage) -> None:
-        self.prewarmer.forget(instance.instance_id)
-        if instance.is_gpu:
-            device_id = instance.device_id
-            self.plane.device_memory[device_id].release(
-                f"weights:{instance.instance_id}",
-                stage.spec.memory_footprint,
-            )
-            self._instance_load[device_id] = max(
-                0, self._instance_load.get(device_id, 0) - 1
-            )
-
-    def _autoscale(self, deployment: Deployment, stage_name: str) -> None:
-        queue = deployment.stage_queues[stage_name]
-        replicas = deployment.replica_sets[stage_name]
-        delta = self.autoscaler.desired_delta(
-            f"{deployment.workflow_id}/{stage_name}",
-            len(replicas),
-            queue.depth,
-            self.env.now,
-        )
-        if delta:
-            self.scale_stage(deployment, stage_name, delta)
-
-    def _device_load(self, instance: FunctionInstance) -> float:
-        """Run-queue depth of the device an instance executes on."""
-        if instance.is_gpu:
-            resource = self.gpu_resources[instance.device_id]
-        else:
-            resource = self.cpu_resources[instance.node.node_id]
-        return resource.count + resource.queue_len
-
     # -- static size/SLO propagation -------------------------------------------
     def _propagate_sizes(
         self, workload: WorkloadSpec, batch: int
@@ -515,11 +392,9 @@ class ServerlessPlatform:
         workflow: Workflow,
         stage_inputs: dict[str, float],
         batch: int,
-        multiplier: Optional[float] = None,
+        multiplier: float,
     ) -> dict[str, float]:
         """Per-stage SLO: multiplier x (profiled exec + nominal transfer)."""
-        if multiplier is None:
-            multiplier = self.slo_multiplier
         slos = {}
         for stage in workflow.topological_order():
             exec_latency = stage.spec.execution_latency(
@@ -529,29 +404,11 @@ class ServerlessPlatform:
             slos[stage.name] = multiplier * (exec_latency + transfer)
         return slos
 
-    def estimated_critical_path(self, deployment: Deployment) -> float:
-        """Sum of profiled exec latencies along the longest path."""
-        workflow = deployment.workflow
-        finish: dict[str, float] = {}
-        for stage in workflow.topological_order():
-            exec_latency = stage.spec.execution_latency(
-                deployment.batch,
-                deployment.stage_inputs[stage.name],
-                self.speed_factor,
-            )
-            preds = workflow.predecessors(stage.name)
-            start = max((finish[p] for p in preds), default=0.0)
-            finish[stage.name] = start + exec_latency
-        return max(finish.values())
-
     # -- request execution ---------------------------------------------------
     def submit(self, deployment: Deployment) -> Process:
         """Run one request through the workflow.
 
-        The process value is a :class:`RequestResult` for requests that
-        completed, or a typed
-        :class:`~repro.platform.admission.RequestRejected` outcome for
-        requests shed by admission control.
+        The process value is the request's :class:`RequestResult`.
         """
         request_id = self.plane.ids.next("req")
         return self.env.process(self._run_request(deployment, request_id))
@@ -561,31 +418,8 @@ class ServerlessPlatform:
         lifecycle = RequestLifecycle(
             self.env, request_id, workflow.name, slo=deployment.slo
         )
-
-        # Admission: shed before the request consumes any resources.
-        reject_reason = self.admission.check(
-            deployment.workflow_id, self.env.now, self.queue.depth
-        )
-        bus = self.env.telemetry
-        if bus is not None:
-            level = self.admission.bucket_level(deployment.workflow_id)
-            if level is not None:
-                tokens, burst = level
-                bus.publish(AdmissionTokens(
-                    t=self.env.now,
-                    workflow=deployment.workflow_id,
-                    tokens=tokens,
-                    burst=burst,
-                ))
-        if reject_reason is not None:
-            outcome = lifecycle.reject(reject_reason)
-            self.rejection_count += 1
-            if self.keep_results:
-                self.rejections.append(outcome)
-            return outcome
         dispatch = deployment.next_dispatch()
         self.queue.enqueue(request_id)
-        lifecycle.admit(self.queue.depth)
         result = lifecycle.result
 
         # Ingress: the request payload lands in host memory via I/O.
@@ -677,27 +511,16 @@ class ServerlessPlatform:
                 done_events[stage.name].succeed(None)
                 return
 
-        # Enter the stage queue (backpressure when bounded), consult
-        # the autoscaler with the observed depth, then dispatch.
         stage_queue = deployment.stage_queues[stage.name]
-        gate = stage_queue.enter()
-        if gate is not None:
-            yield gate
+        instance = deployment.instance_for(stage.name, dispatch)
+        stage_queue.enter()
+        instance.begin_work()
         try:
-            if self.autoscaler is not None:
-                self._autoscale(deployment, stage.name)
-            instance = self.dispatch.select(
-                deployment.replica_sets[stage.name], dispatch,
-                self._device_load,
+            ref = yield from self._execute_stage(
+                deployment, lifecycle, stage, instance, inputs
             )
-            instance.begin_work()
-            try:
-                ref = yield from self._execute_stage(
-                    deployment, lifecycle, stage, instance, inputs
-                )
-            finally:
-                instance.end_work()
         finally:
+            instance.end_work()
             stage_queue.leave()
         self.queue.bind_object(ref.object_id, request_id)
         done_events[stage.name].succeed(ref)
@@ -814,8 +637,8 @@ class ServerlessPlatform:
     ) -> list[RequestResult]:
         """Replay *trace* against *deployment* and return its results.
 
-        Only completed requests appear in the returned list; shed
-        requests accumulate in :attr:`rejections`.
+        Only requests that completed within the horizon appear in the
+        returned list.
         """
         procs: list[Process] = []
 
@@ -828,10 +651,7 @@ class ServerlessPlatform:
         self.env.process(driver())
         horizon = self.env.now + trace.config.duration + drain
         self.env.run(until=horizon)
-        return [
-            p.value for p in procs
-            if p.triggered and p.ok and isinstance(p.value, RequestResult)
-        ]
+        return [p.value for p in procs if p.triggered and p.ok]
 
     def run_trace_streaming(
         self,
@@ -853,8 +673,8 @@ class ServerlessPlatform:
         ``monitor`` (a :class:`~repro.telemetry.heartbeat.RunMonitor`)
         is ticked on every arrival so heartbeats fire even while a
         burst keeps completions scarce.  Returns the number of
-        requests submitted; completions/rejections are available as
-        :attr:`completed_count` / :attr:`rejection_count`.
+        requests submitted; completions are available as
+        :attr:`completed_count`.
         """
         submitted = 0
         config = getattr(trace, "config", None)
@@ -909,11 +729,7 @@ class ServerlessPlatform:
         ) + drain
         self.env.run(until=horizon)
         return {
-            wf: [
-                p.value for p in procs
-                if p.triggered and p.ok
-                and isinstance(p.value, RequestResult)
-            ]
+            wf: [p.value for p in procs if p.triggered and p.ok]
             for wf, procs in all_procs.items()
         }
 

@@ -15,22 +15,18 @@ Two structures live here:
     live ones — nothing on the pending path scans a list.
 
 :class:`StageQueue`
-    A per-stage admission gate with FIFO or priority wakeup and
-    optional bounded depth (backpressure).  With no bound (the
-    default) entering is a pure O(1) counter bump with zero simulation
-    interaction, so the default pipeline behaves exactly like the
-    un-queued seed engine; with ``maxsize`` set, excess requests park
-    on an event and are woken in policy order as slots free up.
+    A per-stage depth counter.  Stage queues are unbounded, so
+    entering is a pure O(1) counter bump with zero simulation
+    interaction; every change of depth is published as a
+    :class:`~repro.telemetry.events.StageQueueDepth` sample.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-import heapq
-
 from repro.common.errors import SchedulingError
-from repro.sim.core import Environment, Event
+from repro.sim.core import Environment
 from repro.telemetry.events import StageQueueDepth
 
 _MIN_SLOTS = 64
@@ -146,78 +142,34 @@ class PendingQueue:
 
 
 class StageQueue:
-    """Depth-tracked admission gate in front of one stage's replicas."""
+    """Depth counter in front of one stage's replicas."""
 
-    def __init__(
-        self,
-        env: Environment,
-        stage: str,
-        policy: str = "fifo",
-        maxsize: Optional[int] = None,
-    ) -> None:
-        if policy not in ("fifo", "priority"):
-            raise SchedulingError(f"unknown stage queue policy {policy!r}")
-        if maxsize is not None and maxsize < 1:
-            raise SchedulingError("stage queue maxsize must be >= 1")
+    def __init__(self, env: Environment, stage: str) -> None:
         self.env = env
         self.stage = stage
-        self.policy = policy
-        self.maxsize = maxsize
         self._depth = 0
-        self._seq = 0
-        self._waiting: list[tuple[float, int, Event]] = []
-        self.total_entered = 0
-        self.peak_depth = 0
 
     def _publish_depth(self) -> None:
         """Sample the queue's occupancy onto the bus (counter track)."""
         bus = self.env.telemetry
         if bus is not None:
             bus.publish(StageQueueDepth(
-                t=self.env.now,
-                stage=self.stage,
-                depth=self._depth,
-                backlog=len(self._waiting),
+                t=self.env.now, stage=self.stage, depth=self._depth
             ))
 
-    def enter(self, priority: float = 0.0) -> Optional[Event]:
-        """Claim a slot; returns ``None`` if granted now, else an event.
-
-        Callers yield the returned event (backpressure) and own a slot
-        once it fires; every granted slot must be returned via
-        :meth:`leave`.  FIFO mode ignores *priority* so arrival order
-        is preserved.
-        """
-        self.total_entered += 1
-        if self.maxsize is None or self._depth < self.maxsize:
-            self._depth += 1
-            self.peak_depth = max(self.peak_depth, self._depth)
-            self._publish_depth()
-            return None
-        key = priority if self.policy == "priority" else 0.0
-        event = self.env.event()
-        heapq.heappush(self._waiting, (key, self._seq, event))
-        self._seq += 1
+    def enter(self) -> None:
+        """Count one request into the stage; pair it with :meth:`leave`."""
+        self._depth += 1
         self._publish_depth()
-        return event
 
     def leave(self) -> None:
-        """Return a slot, handing it to the next waiter if any."""
+        """Count one request out of the stage."""
         if self._depth <= 0:
             raise SchedulingError(f"leave() without enter() on {self.stage}")
         self._depth -= 1
-        if self._waiting:
-            _key, _seq, event = heapq.heappop(self._waiting)
-            self._depth += 1
-            event.succeed()
         self._publish_depth()
 
     @property
     def depth(self) -> int:
         """Requests currently inside the stage (waiting + executing)."""
         return self._depth
-
-    @property
-    def backlog(self) -> int:
-        """Requests parked behind a full queue (maxsize mode only)."""
-        return len(self._waiting)

@@ -60,19 +60,6 @@ class PrewarmManager:
         self._states[instance_id] = WarmState(now, self.keep_alive)
         return self.container_start + model_bytes / self.load_bandwidth
 
-    def forget(self, instance_id: str) -> None:
-        """Drop a decommissioned instance's warm state.
-
-        Autoscaled replica sets shrink as well as grow; without this,
-        every removed replica would pin its `WarmState` forever.
-        """
-        self._states.pop(instance_id, None)
-
     def is_warm(self, instance_id: str, now: float) -> bool:
         state = self._states.get(instance_id)
         return state is not None and state.is_warm(now)
-
-    @property
-    def tracked(self) -> int:
-        """Number of instances with live warm state."""
-        return len(self._states)

@@ -14,7 +14,6 @@ all together from the command line.
 from repro.telemetry.bus import EventBus
 from repro.telemetry.chrome import export_chrome_trace, to_trace_events
 from repro.telemetry.events import (
-    AdmissionTokens,
     FlowFinished,
     FlowsReallocated,
     FlowStarted,
@@ -72,7 +71,6 @@ from repro.telemetry.sinks import (
 )
 
 __all__ = [
-    "AdmissionTokens",
     "BoundedGauge",
     "ChromeStreamingSink",
     "Counter",

@@ -8,7 +8,7 @@ Maps the telemetry event stream onto the Trace Event Format that
 - one **thread** (``tid``) per GPU, link, or host device;
 - transfers, flows, and request stage spans become complete (``"X"``)
   slices; store operations become instants (``"i"``); pool occupancy,
-  stage-queue depth, and admission token-bucket levels become counter
+  replica outstanding work and stage-queue depth become counter
   (``"C"``) tracks.
 
 Simulation seconds map to trace microseconds.  A telemetry session may
@@ -23,7 +23,6 @@ import json
 from typing import Iterable, Optional, Union
 
 from repro.telemetry.events import (
-    AdmissionTokens,
     FlowFinished,
     PlacementDecision,
     PoolAlloc,
@@ -161,13 +160,7 @@ def convert_event(event: TelemetryEvent, pid_prefix: str = "") -> list[dict]:
         return [_counter(
             f"stage-queue {event.stage}", event.t,
             p + PLATFORM_PID, f"queue:{event.stage}",
-            {"depth": event.depth, "backlog": event.backlog},
-        )]
-    if isinstance(event, AdmissionTokens):
-        return [_counter(
-            f"admission {event.workflow}", event.t,
-            p + PLATFORM_PID, "admission",
-            {"tokens": event.tokens},
+            {"depth": event.depth},
         )]
     if isinstance(event, PlacementDecision):
         return [_instant(

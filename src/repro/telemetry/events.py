@@ -216,35 +216,6 @@ class RequestArrived(TelemetryEvent):
 
 
 @dataclass(frozen=True)
-class RequestAdmitted(TelemetryEvent):
-    """Admission control accepted a request into the pending queue."""
-
-    request_id: str
-    workflow: str
-    queue_depth: int
-
-
-@dataclass(frozen=True)
-class RequestRejected(TelemetryEvent):
-    """Admission control shed a request before it entered the queue."""
-
-    request_id: str
-    workflow: str
-    reason: str  # "concurrency" | "rate"
-
-
-@dataclass(frozen=True)
-class ReplicaScaled(TelemetryEvent):
-    """The autoscaler grew or shrank one stage's replica set."""
-
-    workflow: str
-    stage: str
-    delta: int
-    replicas: int
-    queue_depth: int
-
-
-@dataclass(frozen=True)
 class RequestFinished(TelemetryEvent):
     """A request drained its egress output."""
 
@@ -289,20 +260,10 @@ class ReplicaOutstanding(TelemetryEvent):
 
 @dataclass(frozen=True)
 class StageQueueDepth(TelemetryEvent):
-    """A stage queue's depth or backlog changed (counter-track sample)."""
+    """A stage queue's depth changed (counter-track sample)."""
 
     stage: str
     depth: int
-    backlog: int
-
-
-@dataclass(frozen=True)
-class AdmissionTokens(TelemetryEvent):
-    """Post-check level of a deployment's admission token bucket."""
-
-    workflow: str
-    tokens: float
-    burst: float
 
 
 # -- data plane ----------------------------------------------------------------

@@ -12,7 +12,7 @@ request's end-to-end latency by construction, not approximately.
 Blame categories
 ----------------
 ``admission``   arrival to the entry stage's first span (dispatch,
-                admission bookkeeping, ingress registration)
+                pending-queue entry, ingress registration)
 ``queue``       waiting for a device slot (published queue spans)
 ``stage-wait``  gap between the gating predecessor finishing and this
                 stage's first span (all-of join + dispatch delay)

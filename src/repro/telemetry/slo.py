@@ -7,11 +7,9 @@ An :class:`SloSpec` names one objective over one request-level metric:
   for the LLM workflows; first ``exec`` span end otherwise)
 - ``data_share`` — fraction of end-to-end latency spent moving data
   (get + put + egress spans), the paper's §3 headline ratio
-- ``rejection``  — admission sheds (sample per arrival; "bad" = shed)
 
-A sample is **good** when the metric is at or below ``threshold``
-(``rejection`` ignores the threshold: good means admitted).  The spec
-is met while the fraction of bad samples inside the trailing
+A sample is **good** when the metric is at or below ``threshold``.
+The spec is met while the fraction of bad samples inside the trailing
 ``window`` stays within the error budget ``1 - objective``; **burn
 rate** is the windowed bad fraction divided by that budget (burn 1.0 =
 exactly consuming budget; > 1.0 = violating).  Contiguous stretches
@@ -35,12 +33,11 @@ from repro.telemetry.bus import EventBus
 from repro.telemetry.events import (
     RequestArrived,
     RequestFinished,
-    RequestRejected,
     StageSpan,
     TelemetryEvent,
 )
 
-SLO_KINDS = ("latency", "ttft", "data_share", "rejection")
+SLO_KINDS = ("latency", "ttft", "data_share")
 
 #: Span kinds whose durations count as data passing (matches
 #: ``RequestResult.data_time``: Get + Put + egress).
@@ -54,8 +51,7 @@ class SloSpec:
     ``objective`` is the target good fraction (0.99 = "99% of requests
     ..."); ``window`` the rolling evaluation horizon in simulation
     seconds; ``threshold`` the per-sample bound in the metric's unit
-    (seconds for ``latency``/``ttft``, a fraction for ``data_share``,
-    unused for ``rejection``).
+    (seconds for ``latency``/``ttft``, a fraction for ``data_share``).
     """
 
     name: str
@@ -113,13 +109,9 @@ class SloTracker:
     # -- sampling -------------------------------------------------------------
     def observe(self, t: float, value: float) -> None:
         """Fold one metric sample taken at time *t*."""
-        good = value <= self.spec.threshold
-        self.observe_outcome(t, good)
-
-    def observe_outcome(self, t: float, good: bool) -> None:
-        """Fold one boolean outcome sample (the ``rejection`` path)."""
         if self._finalized:
             raise ConfigError("tracker already finalized")
+        good = value <= self.spec.threshold
         if good:
             self.good += 1
         else:
@@ -216,11 +208,10 @@ def default_specs(
     latency_s: float = 5.0,
     ttft_s: float = 5.0,
     data_share_max: float = 0.9,
-    rejection_objective: float = 0.99,
     objective: float = 0.95,
     window: float = 5.0,
 ) -> tuple[SloSpec, ...]:
-    """The standard four-spec board the ``repro health`` CLI evaluates.
+    """The standard three-spec board the ``repro health`` CLI evaluates.
 
     Defaults are deliberately generous: a healthy quick experiment run
     should report 100% attainment everywhere; tighten per-flag to make
@@ -233,8 +224,6 @@ def default_specs(
                 objective=objective, window=window),
         SloSpec("data_share", "data_share", threshold=data_share_max,
                 objective=objective, window=window),
-        SloSpec("rejection", "rejection",
-                objective=rejection_objective, window=window),
     )
 
 
@@ -274,7 +263,6 @@ class SloBoard:
     def attach(self, bus: EventBus) -> "SloBoard":
         handlers = {
             RequestArrived: self._on_arrived,
-            RequestRejected: self._on_rejected,
             RequestFinished: self._on_finished,
             StageSpan: self._on_span,
         }
@@ -292,8 +280,6 @@ class SloBoard:
     def feed(self, event: TelemetryEvent) -> None:
         if isinstance(event, RequestArrived):
             self._on_arrived(event)
-        elif isinstance(event, RequestRejected):
-            self._on_rejected(event)
         elif isinstance(event, RequestFinished):
             self._on_finished(event)
         elif isinstance(event, StageSpan):
@@ -318,15 +304,6 @@ class SloBoard:
     def _on_arrived(self, event: RequestArrived) -> None:
         self._observe_t(event.t)
         self._pending[event.request_id] = _RequestAssembly(event.t)
-        tracker = self.trackers.get("rejection")
-        if tracker is not None:
-            tracker.observe_outcome(event.t, good=True)
-
-    def _on_rejected(self, event: RequestRejected) -> None:
-        self._observe_t(event.t)
-        tracker = self.trackers.get("rejection")
-        if tracker is not None:
-            tracker.observe_outcome(event.t, good=False)
 
     def _on_span(self, event: StageSpan) -> None:
         self._observe_t(event.t)

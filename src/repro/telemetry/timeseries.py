@@ -3,9 +3,9 @@
 The registry's gauges and histograms answer "what happened overall";
 the :class:`TimeSeriesStore` answers "what was each entity doing over
 time" — per-link utilization and contention, per-stage queue depth,
-per-workflow admission tokens, per-device pool occupancy, per-replica
-outstanding work, and fast-path engagement — each as a bounded
-ring-buffer :class:`EntitySeries` with windowed aggregates.
+per-device pool occupancy, per-replica outstanding work, and
+fast-path engagement — each as a bounded ring-buffer
+:class:`EntitySeries` with windowed aggregates.
 
 Everything here is derived **purely from published events**, never
 from live simulator objects: link utilization comes from
@@ -34,7 +34,6 @@ import numpy as np
 from repro.common.errors import ConfigError
 from repro.telemetry.bus import EventBus
 from repro.telemetry.events import (
-    AdmissionTokens,
     FlowFinished,
     FlowsReallocated,
     FlowStarted,
@@ -154,7 +153,6 @@ class TimeSeriesStore:
     - ``link.util.<link_id>`` — allocated/capacity utilization fraction
     - ``link.flows.<link_id>`` — flows concurrently on the link
     - ``queue.depth.<stage>`` — stage queue depth
-    - ``admission.tokens.<workflow>`` — token-bucket level
     - ``pool.in_use.<device>`` / ``pool.reserved.<device>`` — bytes
     - ``replica.outstanding.<replica>`` — in-flight invocations
     - ``net.virtual_replays`` — cumulative virtual-timestamp events
@@ -198,7 +196,6 @@ class TimeSeriesStore:
             FlowsReallocated: self._on_flows_reallocated,
             FlowFinished: self._on_flow_finished,
             StageQueueDepth: self._on_queue_depth,
-            AdmissionTokens: self._on_admission_tokens,
             PoolAlloc: self._on_pool,
             PoolFree: self._on_pool,
             PoolTrim: self._on_pool,
@@ -225,8 +222,6 @@ class TimeSeriesStore:
             self._on_flow_finished(event)
         elif isinstance(event, StageQueueDepth):
             self._on_queue_depth(event)
-        elif isinstance(event, AdmissionTokens):
-            self._on_admission_tokens(event)
         elif isinstance(event, (PoolAlloc, PoolFree, PoolTrim)):
             self._on_pool(event)
         elif isinstance(event, ReplicaOutstanding):
@@ -292,12 +287,6 @@ class TimeSeriesStore:
         self._observe_t(event.t)
         self.get(f"queue.depth.{event.stage}", kind="queue").record(
             event.t, float(event.depth)
-        )
-
-    def _on_admission_tokens(self, event: AdmissionTokens) -> None:
-        self._observe_t(event.t)
-        self.get(f"admission.tokens.{event.workflow}", kind="admission").record(
-            event.t, event.tokens
         )
 
     def _on_pool(self, event) -> None:

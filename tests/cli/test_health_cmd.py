@@ -3,6 +3,7 @@
 import json
 
 from repro.cli import main
+from repro.telemetry.sinks import SCHEMA
 
 
 def run_health(tmp_path, *extra):
@@ -24,7 +25,7 @@ class TestHealthCommand:
         assert health["runs"]
         for run in health["runs"]:
             assert set(run["attainment"]) == {
-                "latency", "ttft", "data_share", "rejection"
+                "latency", "ttft", "data_share"
             }
             assert run["verdict"] in ("ok", "degraded", "violated")
         assert spool.exists()
@@ -79,3 +80,27 @@ class TestHealthCommand:
         ])
         assert code == 2
         assert "unknown experiment" in capsys.readouterr().err
+
+    def test_replay_of_foreign_schema_exits_2(self, tmp_path, capsys):
+        # A spool written by a version with one more event type.
+        spool = tmp_path / "foreign.jsonl"
+        stale = ["RetiredEvent", ["t", "request_id"]]
+        header = dict(SCHEMA, types=[stale] + SCHEMA["types"])
+        spool.write_text(json.dumps(header) + "\n")
+        out = tmp_path / "health.json"
+        code = main(["health", "--replay", str(spool), "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "different event schema" in err
+
+    def test_replay_of_missing_spool_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "health.json"
+        code = main([
+            "health", "--replay", str(tmp_path / "missing.jsonl.gz"),
+            "--out", str(out),
+        ])
+        assert code == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("error: ")

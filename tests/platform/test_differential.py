@@ -1,16 +1,19 @@
-"""Differential tests: the lifecycle refactor preserves seed behaviour.
+"""Differential tests: the request path preserves seed behaviour.
 
-``golden/requests_seed.json`` was captured from the pre-refactor
-monolithic engine (commit b1f01ae) by running the fig14/fig15-shaped
-workloads and hex-encoding every float.  With the default policies
-(unlimited admission, FIFO stage queues, round-robin dispatch, no
-autoscaler) the refactored pipeline must reproduce those outputs
-bit-for-bit: same arrivals, same finish times, same per-request
-compute/data breakdowns, same skipped branches.
+``golden/requests_seed.json`` holds per-request outputs with every
+float hex-encoded.  The ``fig14``/``fig14dense``/``fig15`` entries were
+captured from the pre-refactor monolithic engine (commit b1f01ae) by
+running the fig14/fig15-shaped workloads; the ``replicas2`` entries
+were captured from the engine before its admission, dispatch,
+autoscaling and bounded stage-queue policies were removed, running the
+two-replica deployment the repository benchmark uses.  The request
+path (every arrival admitted, unbounded stage queues, round-robin
+replicas) must reproduce them bit-for-bit: same arrivals, same finish
+times, same per-request compute/data breakdowns, same skipped
+branches.
 
-Also pins the structural acceptance criteria: the pending-request
-index performs no linear list scans, and spelling out the default
-knobs explicitly changes nothing.
+Also pins a structural acceptance criterion: the pending-request index
+performs no linear list scans.
 """
 
 import inspect
@@ -89,31 +92,20 @@ class TestGoldenDifferential:
         ]
         assert rows == golden[f"fig15/{plane}/driving"]
 
-
-class TestDefaultsAreExplicit:
-    def test_explicit_default_knobs_change_nothing(self):
-        """Spelling out every default policy reproduces implicit defaults."""
-        from repro.platform import AdmissionConfig, build_platform
-
-        def run(**kwargs):
-            platform = build_platform(plane_name="grouter", **kwargs)
-            deployment = platform.deploy(get_workload("driving"))
-            procs = [platform.submit(deployment) for _ in range(5)]
-            platform.env.run()
-            return [
-                (p.value.arrived_at, p.value.finished_at, p.value.data_time)
-                for p in procs
-            ]
-
-        implicit = run()
-        explicit = run(
-            admission=AdmissionConfig(),
-            dispatch="round-robin",
-            autoscaler=None,
-            queue_policy="fifo",
-            stage_queue_limit=None,
+    @pytest.mark.parametrize(
+        "plane,workflow",
+        [("grouter", "recognition"), ("deepplan+", "video")],
+    )
+    def test_two_replicas_bit_identical(self, golden, plane, workflow):
+        """Round-robin over two replicas, the deployment perfbench runs."""
+        _tb, results, _wl = run_workload_on_plane(
+            plane, workflow, pattern="bursty", rate=4.0, duration=20.0,
+            replicas=2,
         )
-        assert implicit == explicit
+        rows = [full_row(r) for r in results]
+        expected = golden[f"replicas2/{plane}/{workflow}"]
+        assert len(rows) == len(expected) == 74
+        assert rows == expected
 
 
 class TestNoLinearScans:

@@ -1,63 +1,17 @@
-"""Tests for replica dispatch policies."""
+"""Tests for round-robin replica dispatch."""
 
-import pytest
-
-from repro.common.errors import SchedulingError
 from repro.dataplane import make_plane
-from repro.platform import (
-    LeastOutstandingDispatch,
-    QueueDepthDispatch,
-    RoundRobinDispatch,
-    ServerlessPlatform,
-    make_dispatch,
-)
+from repro.platform import ServerlessPlatform
 from repro.sim import Environment
 from repro.topology import make_cluster
 from repro.workflow import get_workload
 
 
-def make_platform(num_nodes=1, **kwargs):
+def make_platform():
     env = Environment()
-    cluster = make_cluster("dgx-v100", num_nodes=num_nodes)
+    cluster = make_cluster("dgx-v100")
     plane = make_plane("grouter", env, cluster)
-    return ServerlessPlatform(env, cluster, plane, **kwargs)
-
-
-class FakeReplica:
-    def __init__(self, outstanding=0, load=0.0):
-        self.outstanding = outstanding
-        self.load = load
-
-
-class TestPolicyUnits:
-    def test_round_robin_wraps(self):
-        replicas = [FakeReplica() for _ in range(3)]
-        policy = RoundRobinDispatch()
-        picks = [policy.select(replicas, d) for d in range(6)]
-        assert picks == replicas * 2
-
-    def test_least_outstanding_prefers_idle(self):
-        busy, idle = FakeReplica(outstanding=4), FakeReplica(outstanding=0)
-        policy = LeastOutstandingDispatch()
-        assert policy.select([busy, idle], 0) is idle
-
-    def test_least_outstanding_tie_breaks_to_earliest(self):
-        a, b = FakeReplica(outstanding=1), FakeReplica(outstanding=1)
-        assert LeastOutstandingDispatch().select([a, b], 7) is a
-
-    def test_queue_depth_uses_device_load(self):
-        a, b = FakeReplica(load=5.0), FakeReplica(load=1.0)
-        policy = QueueDepthDispatch()
-        assert policy.select([a, b], 0, device_load=lambda r: r.load) is b
-
-    def test_queue_depth_requires_callback(self):
-        with pytest.raises(SchedulingError):
-            QueueDepthDispatch().select([FakeReplica()], 0)
-
-    def test_make_dispatch_registry(self):
-        assert isinstance(make_dispatch("round-robin"), RoundRobinDispatch)
-        with pytest.raises(SchedulingError):
-            make_dispatch("random")
+    return ServerlessPlatform(env, cluster, plane)
 
 
 class TestRoundRobinIntegration:
@@ -84,31 +38,8 @@ class TestRoundRobinIntegration:
         for replicas in deployment.replica_sets.values():
             assert len(replicas[0].executions) == 3
 
-
-class TestLeastOutstandingIntegration:
-    def test_picks_idle_replica_under_skewed_latency(self):
-        """While replica 0 is stuck on a slow request, new arrivals go
-        to the idle replica instead of queueing behind it."""
-        platform = make_platform(num_nodes=2, dispatch="least-outstanding")
-        deployment = platform.deploy(get_workload("driving"), replicas=2)
-        env = platform.env
-
-        def staggered():
-            platform.submit(deployment)  # occupies replica choice #1
-            yield env.timeout(1e-4)  # arrive while the first is in flight
-            platform.submit(deployment)
-
-        env.process(staggered())
-        env.run()
-        assert len(platform.results) == 2
-        entry = deployment.workflow.entry_stages[0].name
-        counts = sorted(
-            len(r.executions) for r in deployment.replica_sets[entry]
-        )
-        assert counts == [1, 1]
-
     def test_outstanding_counter_returns_to_zero(self):
-        platform = make_platform(dispatch="least-outstanding")
+        platform = make_platform()
         deployment = platform.deploy(get_workload("traffic"), replicas=2)
         for _ in range(5):
             platform.submit(deployment)

@@ -33,32 +33,20 @@ class TestStateMachine:
         env = Environment()
         lc = RequestLifecycle(env, "req-1", "wf")
         assert lc.state is RequestState.ARRIVED
-        lc.admit(queue_depth=1)
-        assert lc.state is RequestState.ADMITTED
         lc.begin_egress()
+        assert lc.state is RequestState.EGRESS
         result = lc.finish()
         assert lc.state is RequestState.FINISHED
         assert result.request_id == "req-1"
-
-    def test_reject_path(self):
-        env = Environment()
-        lc = RequestLifecycle(env, "req-1", "wf")
-        outcome = lc.reject("concurrency")
-        assert lc.state is RequestState.REJECTED
-        assert outcome.reason == "concurrency"
-        assert outcome.request_id == "req-1"
 
     def test_illegal_transitions_raise(self):
         env = Environment()
         lc = RequestLifecycle(env, "req-1", "wf")
         with pytest.raises(SimulationError):
-            lc.finish()  # cannot finish before admission
-        lc.admit(queue_depth=1)
-        with pytest.raises(SimulationError):
-            lc.admit(queue_depth=1)  # double admit
-        with pytest.raises(SimulationError):
-            lc.reject("rate")  # cannot reject after admit
+            lc.finish()  # cannot finish before egress
         lc.begin_egress()
+        with pytest.raises(SimulationError):
+            lc.begin_egress()  # double egress
         lc.finish()
         with pytest.raises(SimulationError):
             lc.begin_egress()  # terminal state

@@ -112,6 +112,10 @@ class TestPendingQueueBindingLeak:
         assert results
         assert platform.queue.depth == 0
         assert platform.queue.bound_objects == 0
+        # Every stage entry on the request path was paired with a leave.
+        assert deployment.stage_queues
+        for stage_queue in deployment.stage_queues.values():
+            assert stage_queue.depth == 0
 
 
 class TestStageQueue:
@@ -124,78 +128,8 @@ class TestStageQueue:
         q.leave()
         assert q.depth == 1
 
-    def test_bounded_queue_blocks_and_wakes_fifo(self):
-        env = Environment()
-        q = StageQueue(env, "s", maxsize=1)
-        order = []
-
-        def worker(name, hold):
-            gate = q.enter()
-            if gate is not None:
-                yield gate
-            order.append(f"start-{name}")
-            yield env.timeout(hold)
-            q.leave()
-            order.append(f"end-{name}")
-
-        env.process(worker("a", 1.0))
-        env.process(worker("b", 1.0))
-        env.process(worker("c", 1.0))
-        env.run()
-        assert order == [
-            "start-a", "end-a", "start-b", "end-b", "start-c", "end-c",
-        ]
-
-    def test_priority_queue_wakes_lowest_key_first(self):
-        env = Environment()
-        q = StageQueue(env, "s", policy="priority", maxsize=1)
-        order = []
-
-        def worker(name, priority):
-            gate = q.enter(priority=priority)
-            if gate is not None:
-                yield gate
-            order.append(name)
-            yield env.timeout(1.0)
-            q.leave()
-
-        def blocker():
-            gate = q.enter()
-            assert gate is None
-            yield env.timeout(1.0)
-            q.leave()
-
-        env.process(blocker())
-        env.process(worker("low-urgency", 5.0))
-        env.process(worker("high-urgency", 1.0))
-        env.run()
-        assert order == ["high-urgency", "low-urgency"]
-
-    def test_depth_and_backlog_accounting(self):
-        env = Environment()
-        q = StageQueue(env, "s", maxsize=2)
-        assert q.enter() is None
-        assert q.enter() is None
-        gate = q.enter()
-        assert gate is not None
-        assert q.depth == 2
-        assert q.backlog == 1
-        q.leave()
-        env.run()
-        assert q.depth == 2  # waiter was promoted into the freed slot
-        assert q.backlog == 0
-        assert q.peak_depth == 2
-        assert q.total_entered == 3
-
     def test_leave_without_enter_raises(self):
         env = Environment()
         q = StageQueue(env, "s")
         with pytest.raises(SchedulingError):
             q.leave()
-
-    def test_invalid_parameters_raise(self):
-        env = Environment()
-        with pytest.raises(SchedulingError):
-            StageQueue(env, "s", policy="lifo")
-        with pytest.raises(SchedulingError):
-            StageQueue(env, "s", maxsize=0)

@@ -1,4 +1,4 @@
-"""Tests for spatial GPU sharing and replica autoscaling."""
+"""Tests for spatial GPU sharing and static replica sets."""
 
 import pytest
 

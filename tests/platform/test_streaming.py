@@ -50,7 +50,6 @@ class TestResultRetirement:
         assert plat.completed_count == len(trace)
         assert plat.rejection_count == 0
         assert plat.results == []
-        assert plat.rejections == []
 
     def test_retirement_drops_all_per_request_lists(self):
         """keep_results=False must leave NO per-request list growing.

@@ -117,31 +117,19 @@ class TestPlatformCounterTracks:
         from repro.telemetry.events import StageQueueDepth
 
         events = to_trace_events([
-            StageQueueDepth(t=0.5, stage="detect", depth=3, backlog=2),
+            StageQueueDepth(t=0.5, stage="detect", depth=3),
         ])
         counter = next(e for e in events if e["ph"] == "C")
         assert counter["name"] == "stage-queue detect"
         assert counter["pid"] == "platform"
         assert counter["tid"] == "queue:detect"
-        assert counter["args"] == {"depth": 3, "backlog": 2}
-
-    def test_admission_tokens_become_counter(self):
-        from repro.telemetry.events import AdmissionTokens
-
-        events = to_trace_events([
-            AdmissionTokens(t=0.25, workflow="driving", tokens=7.5,
-                            burst=16.0),
-        ])
-        counter = next(e for e in events if e["ph"] == "C")
-        assert counter["name"] == "admission driving"
-        assert counter["pid"] == "platform"
-        assert counter["args"] == {"tokens": 7.5}
+        assert counter["args"] == {"depth": 3}
 
     def test_counters_respect_run_prefix(self):
         from repro.telemetry.events import StageQueueDepth
 
         events = to_trace_events(
-            [(1, StageQueueDepth(t=0.5, stage="s", depth=1, backlog=0))],
+            [(1, StageQueueDepth(t=0.5, stage="s", depth=1))],
             multi_run=True,
         )
         counter = next(e for e in events if e["ph"] == "C")

@@ -93,7 +93,7 @@ class TestDetectors:
         store = TimeSeriesStore()
         store.feed(flow_started(0.0, 1))
         store.feed(reallocated(0.0, 1, (0.0,)))
-        store.feed(StageQueueDepth(t=5.0, stage="s", depth=0, backlog=0))
+        store.feed(StageQueueDepth(t=5.0, stage="s", depth=0))
         (hit,) = detect_starved_flows(store)
         assert hit["detector"] == "starved_flow"
         assert hit["links"] == ["l0"]
@@ -105,7 +105,7 @@ class TestDetectors:
         store.feed(flow_started(4.9, 2))
         store.feed(reallocated(4.9, 2, (50.0, 0.0), component=(1, 2)))
         # flow 2 is rate-zero but only 0.1s old at max_t=5.0
-        store.feed(StageQueueDepth(t=5.0, stage="s", depth=0, backlog=0))
+        store.feed(StageQueueDepth(t=5.0, stage="s", depth=0))
         starved = detect_starved_flows(store)
         assert [hit["entity"] for hit in starved] == []
 
@@ -151,7 +151,7 @@ class TestBuildRunHealth:
         store = TimeSeriesStore()
         for i in range(10):
             store.feed(StageQueueDepth(t=float(i), stage="s",
-                                       depth=i + 1, backlog=0))
+                                       depth=i + 1))
         health = build_run_health(store, SloBoard(SPECS), plane="p")
         assert health["verdict"] == "degraded"
         assert health["entities"]["queue.depth.s"]["verdict"] == "degraded"

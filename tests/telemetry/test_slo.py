@@ -7,7 +7,6 @@ from repro.telemetry import EventBus
 from repro.telemetry.events import (
     RequestArrived,
     RequestFinished,
-    RequestRejected,
     StageSpan,
 )
 from repro.telemetry.slo import SloBoard, SloSpec, SloTracker, default_specs
@@ -30,7 +29,7 @@ class TestSloSpec:
 
     def test_default_specs_names(self):
         names = [s.name for s in default_specs()]
-        assert names == ["latency", "ttft", "data_share", "rejection"]
+        assert names == ["latency", "ttft", "data_share"]
 
 
 class TestSloTracker:
@@ -147,18 +146,6 @@ class TestSloBoard:
         assert len(report["data_share"]["episodes"]) == 1
         assert not board.met
 
-    def test_rejection_samples(self):
-        board = SloBoard(default_specs(rejection_objective=0.6,
-                                       objective=0.9, window=10.0))
-        board.feed(RequestArrived(t=0.0, request_id="r1", workflow="wf"))
-        board.feed(RequestRejected(t=0.1, request_id="r2", workflow="wf",
-                                   reason="rate"))
-        board.finalize()
-        rejection = board.report()["rejection"]
-        assert rejection["total"] == 2
-        assert rejection["bad"] == 1
-        assert rejection["attainment"] == 0.5
-
     def test_pending_state_dropped_on_finish(self):
         board = SloBoard()
         board.feed(RequestArrived(t=0.0, request_id="r1", workflow="wf"))
@@ -170,10 +157,12 @@ class TestSloBoard:
     def test_bus_attach_detach(self):
         bus = EventBus()
         board = SloBoard().attach(bus)
-        bus.publish(RequestArrived(t=0.0, request_id="r1", workflow="wf"))
+        bus.publish(RequestFinished(t=1.0, request_id="r1", workflow="wf",
+                                    latency=1.0, slo_met=None))
         board.detach()
-        bus.publish(RequestArrived(t=0.1, request_id="r2", workflow="wf"))
-        assert board.trackers["rejection"].total == 1
+        bus.publish(RequestFinished(t=2.0, request_id="r2", workflow="wf",
+                                    latency=1.0, slo_met=None))
+        assert board.trackers["latency"].total == 1
 
     def test_episode_count_property(self):
         board = SloBoard(default_specs(latency_s=0.1, objective=0.9,

@@ -52,7 +52,6 @@ class TestHealthyRun:
         assert health["total_episodes"] == 0
         assert health["attainment"] == {
             "latency": 1.0, "ttft": 1.0, "data_share": 1.0,
-            "rejection": 1.0,
         }
         (run,) = health["runs"]
         assert run["plane"] == "grouter"

@@ -5,7 +5,6 @@ import pytest
 from repro.common.errors import ConfigError
 from repro.telemetry import EventBus
 from repro.telemetry.events import (
-    AdmissionTokens,
     FlowFinished,
     FlowsReallocated,
     FlowStarted,
@@ -121,25 +120,22 @@ class TestTimeSeriesStore:
         assert store.get("net.virtual_replays").last_value == 1.0
         assert store.max_t == 1.0
 
-    def test_queue_admission_pool_replica_series(self):
+    def test_queue_pool_replica_series(self):
         store = TimeSeriesStore()
-        store.feed(StageQueueDepth(t=0.0, stage="det", depth=3, backlog=1))
-        store.feed(AdmissionTokens(t=0.1, workflow="wf", tokens=7.5,
-                                   burst=10.0))
+        store.feed(StageQueueDepth(t=0.0, stage="det", depth=3))
         store.feed(PoolAlloc(t=0.2, device_id="n0.g0", size=10.0,
                              reserved=100.0, in_use=60.0, grew=False))
         store.feed(ReplicaOutstanding(t=0.3, replica="det#0",
                                       device_id="n0.g0", outstanding=2))
         assert store.get("queue.depth.det").last_value == 3.0
-        assert store.get("admission.tokens.wf").last_value == 7.5
         assert store.get("pool.in_use.n0.g0").last_value == 60.0
         assert store.get("pool.reserved.n0.g0").last_value == 100.0
         assert store.get("replica.outstanding.det#0").last_value == 2.0
 
     def test_names_prefix(self):
         store = TimeSeriesStore()
-        store.feed(StageQueueDepth(t=0.0, stage="a", depth=1, backlog=0))
-        store.feed(StageQueueDepth(t=0.0, stage="b", depth=1, backlog=0))
+        store.feed(StageQueueDepth(t=0.0, stage="a", depth=1))
+        store.feed(StageQueueDepth(t=0.0, stage="b", depth=1))
         assert store.names("queue.depth.") == [
             "queue.depth.a", "queue.depth.b"
         ]
@@ -147,17 +143,17 @@ class TestTimeSeriesStore:
     def test_bus_attach_detach(self):
         bus = EventBus()
         store = TimeSeriesStore().attach(bus)
-        bus.publish(StageQueueDepth(t=0.0, stage="s", depth=5, backlog=0))
+        bus.publish(StageQueueDepth(t=0.0, stage="s", depth=5))
         assert store.get("queue.depth.s").last_value == 5.0
         store.detach()
-        bus.publish(StageQueueDepth(t=1.0, stage="s", depth=9, backlog=0))
+        bus.publish(StageQueueDepth(t=1.0, stage="s", depth=9))
         assert store.get("queue.depth.s").last_value == 5.0
 
     def test_live_and_feed_paths_match(self):
         events = [
             flow_started(0.0, 1),
             reallocated(0.0, 1, (1,), (75.0,)),
-            StageQueueDepth(t=0.5, stage="s", depth=2, backlog=0),
+            StageQueueDepth(t=0.5, stage="s", depth=2),
             flow_finished(1.0, 1),
         ]
         bus = EventBus()
