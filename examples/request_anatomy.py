@@ -2,10 +2,11 @@
 """Anatomy of one request: where does the time go?
 
 Runs a single driving-workflow request under the host-centric baseline
-and under GROUTER with span tracing enabled, and prints an ASCII Gantt
-chart of each: queueing, input fetches, execution, output publication
-per stage.  The baseline's chart is dominated by ``<`` (fetch) and
-``>`` (publish) bars; GROUTER's is mostly ``#`` (compute).
+and under GROUTER with the profiler's span-tree builder listening on
+the telemetry bus, and prints an ASCII Gantt chart of each: queueing,
+input fetches, execution, output publication per stage.  The
+baseline's chart is dominated by ``<`` (fetch) and ``>`` (publish)
+bars; GROUTER's is mostly ``#`` (compute).
 
 Run:  python examples/request_anatomy.py
 """
@@ -13,8 +14,9 @@ Run:  python examples/request_anatomy.py
 from repro.dataplane import make_plane
 from repro.platform import ServerlessPlatform
 from repro.sim import Environment
+from repro.telemetry import EventBus
+from repro.telemetry.profiler import SPAN_KINDS, SpanTreeBuilder, gantt
 from repro.topology import make_cluster
-from repro.tracing import SpanTracer
 from repro.workflow import get_workload
 
 
@@ -23,19 +25,34 @@ def trace_one(plane_name):
     cluster = make_cluster("dgx-v100")
     plane = make_plane(plane_name, env, cluster)
     platform = ServerlessPlatform(env, cluster, plane)
-    platform.tracer = SpanTracer()
+    env.telemetry = EventBus()
+    builder = SpanTreeBuilder().attach(env.telemetry)
     deployment = platform.deploy(get_workload("driving"))
     proc = platform.submit(deployment)
     env.run()
-    return platform.tracer, proc.value.request_id
+    return builder.requests[proc.value.request_id]
+
+
+def summary(tree):
+    """One-line breakdown of where the request's time went."""
+    totals = dict.fromkeys(SPAN_KINDS, 0.0)
+    for spans in (*tree.stage_spans.values(), tree.egress_spans):
+        for span in spans:
+            totals[span.kind] += span.duration
+    parts = [
+        f"{kind}={totals[kind] * 1e3:.2f}ms"
+        for kind in SPAN_KINDS
+        if totals[kind] > 0
+    ]
+    return f"{tree.request_id}: " + ", ".join(parts)
 
 
 def main():
     for plane_name in ("infless+", "grouter"):
-        tracer, request_id = trace_one(plane_name)
+        tree = trace_one(plane_name)
         print(f"=== {plane_name} ===")
-        print(tracer.gantt(request_id))
-        print(tracer.summary(request_id))
+        print(gantt(tree))
+        print(summary(tree))
         print()
 
 

@@ -16,8 +16,10 @@ re-exports the pieces most users need; subpackages hold the substrates:
 - :mod:`repro.traces` — Azure-like arrival generators
 - :mod:`repro.llm` — KV-cache / Mixture-of-Agents layer
 - :mod:`repro.experiments` — one module per paper table/figure
-- :mod:`repro.tracing`, :mod:`repro.analysis`, :mod:`repro.report` —
-  request Gantt tracing, bootstrap statistics, table rendering
+- :mod:`repro.telemetry` — event bus, metrics, Perfetto export, and the
+  request profiler (span trees, critical paths, Gantt charts)
+- :mod:`repro.analysis`, :mod:`repro.report` — bootstrap statistics,
+  table rendering
 - :mod:`repro.cli` — ``python -m repro`` entry point
 
 Quick start::

@@ -30,7 +30,3 @@ class IdGenerator:
     def peek(self, prefix: str) -> int:
         """Return the next counter value without consuming it."""
         return self._counters[prefix]
-
-    def reset(self) -> None:
-        """Reset all counters (used between simulation runs)."""
-        self._counters.clear()

@@ -499,10 +499,6 @@ class DataPlane(abc.ABC):
         replicas = obj.gpu_replicas()
         return replicas[0].device_id if replicas else None
 
-    def _host_location_of(self, obj: DataObject) -> Optional[str]:
-        replicas = obj.host_replicas()
-        return replicas[0].device_id if replicas else None
-
     def _result(
         self, ref: DataRef, started: float, source: str, category: str
     ) -> GetResult:
@@ -626,12 +622,6 @@ class DataPlane(abc.ABC):
             ))
 
     # -- memory introspection ----------------------------------------------------
-    def storage_bytes_on(self, gpu_device_id: str) -> float:
-        return self.gpu_stores[gpu_device_id].resident_bytes
-
-    def pool_reserved_on(self, gpu_device_id: str) -> float:
-        return self.pools[gpu_device_id].reserved
-
     def total_pool_reserved(self) -> float:
         return sum(pool.reserved for pool in self.pools.values())
 

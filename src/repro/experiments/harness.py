@@ -237,75 +237,6 @@ def run_workload_on_plane(
     return testbed, results, workload
 
 
-class StreamingResultAggregator:
-    """Fold retired :class:`RequestResult`\\ s into O(1)-ish state.
-
-    The streaming counterpart of keeping ``platform.results`` and
-    post-processing it: install as ``platform.result_sink`` (with
-    ``keep_results=False``) and each result is reduced to counters
-    plus latency/data-time recorders the moment it completes, then
-    dropped.  ``mode="exact"`` keeps every sample
-    (:class:`~repro.metrics.LatencyRecorder`); ``mode="bounded"``
-    switches to reservoir recorders so memory stays flat regardless of
-    request count.
-    """
-
-    def __init__(self, mode: str = "exact",
-                 reservoir_capacity: Optional[int] = None) -> None:
-        from repro.metrics import (
-            DEFAULT_RESERVOIR_CAPACITY,
-            LatencyRecorder,
-            ReservoirRecorder,
-        )
-
-        if mode not in ("exact", "bounded"):
-            raise ValueError(f"unknown aggregator mode {mode!r}")
-        self.mode = mode
-        if mode == "exact":
-            self.latency_ms = LatencyRecorder()
-            self.data_ms = LatencyRecorder()
-        else:
-            capacity = reservoir_capacity or DEFAULT_RESERVOIR_CAPACITY
-            self.latency_ms = ReservoirRecorder(
-                "endtoend.latency_ms", capacity=capacity
-            )
-            self.data_ms = ReservoirRecorder(
-                "endtoend.data_ms", capacity=capacity
-            )
-        self.count = 0
-        self.slo_violations = 0
-        self.bytes_moved = 0.0
-
-    def __call__(self, result: RequestResult) -> None:
-        self.count += 1
-        self.latency_ms.add(result.latency * 1000.0)
-        self.data_ms.add(result.data_time * 1000.0)
-        if result.slo is not None and result.latency > result.slo:
-            self.slo_violations += 1
-        for record in result.stage_records.values():
-            self.bytes_moved += record.input_bytes + record.output_bytes
-
-    def summary(self) -> dict:
-        empty = self.count == 0
-        return {
-            "mode": self.mode,
-            "count": self.count,
-            "slo_violations": self.slo_violations,
-            "bytes_moved": self.bytes_moved,
-            "latency_ms": {
-                "mean": float("nan") if empty else self.latency_ms.mean,
-                "p50": float("nan") if empty else self.latency_ms.p50,
-                "p99": float("nan") if empty else self.latency_ms.p99,
-                "max": float("nan") if empty else self.latency_ms.maximum,
-            },
-            "data_ms": {
-                "mean": float("nan") if empty else self.data_ms.mean,
-                "p50": float("nan") if empty else self.data_ms.p50,
-                "p99": float("nan") if empty else self.data_ms.p99,
-            },
-        }
-
-
 def p99(values: Sequence[float]) -> float:
     return float(np.percentile(list(values), 99)) if values else float("nan")
 

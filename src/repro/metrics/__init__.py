@@ -1,10 +1,11 @@
-"""Statistics utilities: latency recorders, timelines, throughput search."""
+"""Statistics utilities: exact and reservoir latency recorders, the
+timeline behind exact-mode gauges, and throughput search.
+"""
 
 from repro.metrics.stats import (
     DEFAULT_RESERVOIR_CAPACITY,
     LatencyRecorder,
     ReservoirRecorder,
-    SloTracker,
     Timeline,
     find_max_throughput,
     reservoir_rank_error,
@@ -14,7 +15,6 @@ __all__ = [
     "DEFAULT_RESERVOIR_CAPACITY",
     "LatencyRecorder",
     "ReservoirRecorder",
-    "SloTracker",
     "Timeline",
     "find_max_throughput",
     "reservoir_rank_error",

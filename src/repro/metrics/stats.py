@@ -192,10 +192,6 @@ class ReservoirRecorder:
             return float("nan")
         return float(np.percentile(self._sorted_view(), p))
 
-    def rank_error(self, p: float) -> float:
-        """Error bound (rank-percentile points) for :meth:`percentile`."""
-        return reservoir_rank_error(p, self.capacity)
-
     @property
     def mean(self) -> float:
         return self._sum / self._count if self._count else float("nan")
@@ -241,21 +237,6 @@ class Timeline:
         self.times.append(t)
         self.values.append(value)
 
-    def sample_edge(self, t: float, value: float) -> None:
-        """Sample, collapsing repeated same-instant samples to the last.
-
-        Event-edge consumers can observe many state transitions at one
-        simulation instant (a macro-flow split replays its virtual
-        batch history in a single call stack); keeping every
-        intermediate sample would let zero-duration points skew
-        sample-weighted summaries.  Only the final value at each ``t``
-        is the state the timeline should remember.
-        """
-        if self.times and t == self.times[-1]:
-            self.values[-1] = value
-            return
-        self.sample(t, value)
-
     def __len__(self) -> int:
         return len(self.times)
 
@@ -266,39 +247,6 @@ class Timeline:
     @property
     def mean(self) -> float:
         return float(np.mean(self.values)) if self.values else float("nan")
-
-    def value_at(self, t: float) -> float:
-        """Step-function lookup: the last sample at or before *t*."""
-        if not self.times:
-            return float("nan")
-        idx = int(np.searchsorted(self.times, t, side="right")) - 1
-        if idx < 0:
-            return float("nan")
-        return self.values[idx]
-
-
-@dataclass
-class SloTracker:
-    """Counts SLO hits and misses."""
-
-    attained: int = 0
-    violated: int = 0
-
-    def observe(self, latency: float, slo: float) -> None:
-        if latency <= slo:
-            self.attained += 1
-        else:
-            self.violated += 1
-
-    @property
-    def total(self) -> int:
-        return self.attained + self.violated
-
-    @property
-    def attainment(self) -> float:
-        if self.total == 0:
-            return float("nan")
-        return self.attained / self.total
 
 
 def find_max_throughput(

@@ -1,7 +1,6 @@
 """Fluid-flow link network and chunked multi-path transfer engine."""
 
 from repro.net.links import Link, LinkKind
-from repro.net.monitor import LinkUtilizationMonitor
 from repro.net.network import (
     Flow,
     FlowNetwork,
@@ -21,7 +20,6 @@ from repro.net.transfer import (
 
 __all__ = [
     "Link",
-    "LinkUtilizationMonitor",
     "LinkKind",
     "Flow",
     "FlowNetwork",

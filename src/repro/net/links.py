@@ -9,7 +9,7 @@ PCIe bandwidths are quoted (per direction).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class LinkKind(enum.Enum):
@@ -57,21 +57,3 @@ class Link:
     def __repr__(self) -> str:
         gbps = self.capacity / 1e9
         return f"<Link {self.link_id} {self.src}->{self.dst} {gbps:.1f}GB/s>"
-
-
-@dataclass
-class LinkUsage:
-    """Mutable per-link accounting maintained by the flow network."""
-
-    link: Link
-    flows: set = field(default_factory=set)
-
-    @property
-    def allocated(self) -> float:
-        """Total rate currently allocated on this link."""
-        return sum(flow.rate for flow in self.flows)
-
-    @property
-    def residual(self) -> float:
-        """Unallocated capacity (never negative after rounding)."""
-        return max(0.0, self.link.capacity - self.allocated)

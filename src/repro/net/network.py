@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.common.config import NET_ALLOCATORS, net_allocator
 from repro.common.errors import SimulationError
@@ -330,10 +330,6 @@ class FlowNetwork:
             raise SimulationError(f"duplicate link id {link.link_id}")
         if existing is None:
             self._links[link.link_id] = _LinkState(link)
-
-    def add_links(self, links: Iterable[Link]) -> None:
-        for link in links:
-            self.add_link(link)
 
     def link_state(self, link: Link) -> _LinkState:
         state = self._links.get(link.link_id)

@@ -22,10 +22,12 @@ arithmetic analytically and arms a single completion timer: a quiescent
 1 GB transfer costs O(1) events instead of O(size/batch).  Any
 disturbance — a flow arriving on the component, pinned-pool contention —
 splits the macro at the current batch boundary and the loop falls back
-to per-batch flows, so preemption semantics, byte accounting, and
-telemetry stay bit-identical to ``per_batch`` mode (enforced by the
-differential property suite).  Select per engine via ``mode=`` or
-globally with the ``REPRO_NET_TRANSFER`` environment variable.
+to per-batch flows.  ``per_batch`` is the exact reference: coalescing
+matches it on the cases the differential property suite covers, but
+not on every pinned-buffer path of a long bursty run (the grouter
+``recognition`` workload diverges on some requests).  Select per engine
+via ``mode=`` or globally with the ``REPRO_NET_TRANSFER`` environment
+variable.
 """
 
 from __future__ import annotations

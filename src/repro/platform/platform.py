@@ -63,7 +63,6 @@ from repro.scheduler.prewarm import PrewarmManager
 from repro.sim.core import Environment, Process
 from repro.sim.resources import Resource
 from repro.storage.objects import DataRef
-from repro.telemetry.bus import EventBus
 from repro.topology.cluster import ClusterTopology
 from repro.topology.devices import Gpu
 from repro.topology.node import PCIE3_BW
@@ -209,32 +208,6 @@ class ServerlessPlatform:
         # Every arrival is admitted, so this stays 0; perfbench's
         # harness still reports it as its ``rejected`` count.
         self.rejection_count = 0
-        self._tracer = None
-
-    # -- tracing -------------------------------------------------------------
-    @property
-    def tracer(self):
-        """The attached :class:`~repro.tracing.SpanTracer`, or ``None``.
-
-        Assigning a tracer subscribes it to the environment's telemetry
-        bus (created on demand): the lifecycle publishes
-        :class:`StageSpan` events and the tracer consumes them, so any
-        other bus subscriber sees the same spans.  ``None`` (default)
-        costs nothing when no bus is attached.
-        """
-        return self._tracer
-
-    @tracer.setter
-    def tracer(self, tracer) -> None:
-        if self._tracer is not None:
-            self._tracer.detach()
-        self._tracer = tracer
-        if tracer is not None:
-            bus = self.env.telemetry
-            if bus is None:
-                bus = EventBus()
-                self.env.telemetry = bus
-            tracer.attach(bus)
 
     # -- deployment -----------------------------------------------------------
     def deploy(

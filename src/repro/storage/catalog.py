@@ -28,10 +28,6 @@ class CatalogStats:
     registrations: int = 0
     evictions: int = 0
 
-    @property
-    def total_lookups(self) -> int:
-        return self.local_hits + self.global_lookups
-
 
 class DataCatalog:
     """Two-tier (per-node local + global) object location catalog."""
@@ -124,6 +120,3 @@ class AccessController:
                 f"function {function_name!r} (workflow {workflow_id!r}) may "
                 f"not access data of workflow {object_workflow_id!r}"
             )
-
-    def is_member(self, function_name: str, workflow_id: str) -> bool:
-        return function_name in self._workflow_members.get(workflow_id, set())

@@ -89,10 +89,6 @@ class GpuStore:
     def resident_bytes(self) -> float:
         return sum(obj.size for obj in self._resident.values())
 
-    @property
-    def free_device_bytes(self) -> float:
-        return self.pool.device.free
-
     def __repr__(self) -> str:
         return (
             f"<GpuStore {self.device_id} {len(self._resident)} objects "

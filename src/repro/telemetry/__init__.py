@@ -5,10 +5,11 @@ Every layer of the data plane publishes typed events to an
 (``env.telemetry``, ``None`` by default — a disabled run pays one
 attribute check per potential event).  Consumers aggregate the stream:
 :class:`StandardMetrics` into a namespaced :class:`MetricsRegistry`,
-:class:`TraceRecorder` into a raw event list, and
-:func:`export_chrome_trace` into a ``trace.json`` any run can open in
-``ui.perfetto.dev``.  ``python -m repro trace <experiment>`` wires it
-all together from the command line.
+:class:`TimeSeriesStore` into per-entity series for the health board,
+and :func:`export_chrome_trace` into a ``trace.json`` any run can open
+in ``ui.perfetto.dev``; :class:`TelemetrySession` keeps the raw event
+list.  ``python -m repro trace <experiment>`` wires it all together
+from the command line.
 """
 
 from repro.telemetry.bus import EventBus
@@ -50,7 +51,7 @@ from repro.telemetry.metrics import (
     Histogram,
     MetricsRegistry,
 )
-from repro.telemetry.recorder import StandardMetrics, TraceRecorder
+from repro.telemetry.recorder import StandardMetrics
 from repro.telemetry.session import TelemetrySession, capture
 from repro.telemetry.slo import (
     Episode,
@@ -107,7 +108,6 @@ __all__ = [
     "TelemetryEvent",
     "TelemetrySession",
     "TimeSeriesStore",
-    "TraceRecorder",
     "TransferFinished",
     "TransferStarted",
     "build_health",

@@ -74,7 +74,8 @@ def detect_utilization_collapse(
     """A once-busy link went quiet while flows still traverse it."""
     if len(series) < 2:
         return None
-    link_id = series.name.rsplit(".", 1)[-1]
+    # Link ids contain dots themselves (``n0.g0>n0.sw0``).
+    link_id = series.name.removeprefix("link.util.")
     in_flight = any(
         link_id in state.links for state in store.active_flows.values()
     )

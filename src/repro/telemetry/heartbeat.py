@@ -144,7 +144,7 @@ class RunMonitor:
 
         Lets the monitor ride the platform's result-retirement path::
 
-            platform.result_sink = monitor.wrap(aggregator)
+            platform.result_sink = monitor.wrap(retired.append)
         """
 
         def observe(result) -> None:

@@ -81,10 +81,10 @@ class Gauge:
 class BoundedGauge:
     """O(1) gauge: exact last/peak/count, mean as a running sum.
 
-    Drops the per-sample timeline (no ``value_at`` lookups), which is
-    the trade a million-request streaming run makes; ``last``/``peak``
-    are exact, ``mean`` differs from the exact oracle only by running-
-    vs-pairwise float summation.
+    Drops the per-sample timeline, which is the trade a
+    million-request streaming run makes; ``last``/``peak`` are exact,
+    ``mean`` differs from the exact oracle only by running- vs
+    pairwise float summation.
     """
 
     def __init__(self, name: str) -> None:

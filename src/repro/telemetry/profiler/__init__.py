@@ -35,6 +35,7 @@ from repro.telemetry.profiler.critical_path import (
     extract_critical_path,
 )
 from repro.telemetry.profiler.spans import (
+    SPAN_KINDS,
     FlowRecord,
     PoolWait,
     RequestTree,
@@ -42,6 +43,7 @@ from repro.telemetry.profiler.spans import (
     SpanTreeBuilder,
     TransferSpan,
     build_profiles,
+    gantt,
 )
 
 __all__ = [
@@ -54,6 +56,7 @@ __all__ = [
     "FlowRecord",
     "PoolWait",
     "RequestTree",
+    "SPAN_KINDS",
     "SUM_TOLERANCE",
     "Segment",
     "Span",
@@ -64,5 +67,6 @@ __all__ = [
     "build_profiles",
     "critical_path_trace_events",
     "extract_critical_path",
+    "gantt",
     "profile_document",
 ]

@@ -10,7 +10,8 @@ epoch) so the contention attributor can integrate shortfall over time.
 
 Builders are pure accumulators: they never touch the simulation, so
 they can be attached live (zero extra events) or replayed offline from
-a :class:`~repro.telemetry.TraceRecorder` / session event list.
+a session's event list.  :func:`gantt` renders one request's tree as
+an ASCII Gantt chart.
 """
 
 from __future__ import annotations
@@ -141,6 +142,53 @@ class RequestTree:
     @property
     def complete(self) -> bool:
         return self.finished is not None
+
+
+# Span kinds, in the order a stage's rows render at one instant.
+SPAN_KINDS = ("queue", "get", "cold-start", "exec", "put", "egress")
+_GLYPHS = {
+    "queue": ".",
+    "get": "<",
+    "cold-start": "c",
+    "exec": "#",
+    "put": ">",
+    "egress": "e",
+}
+
+
+def gantt(tree: RequestTree, width: int = 60) -> str:
+    """ASCII Gantt chart of one request.
+
+    One row per stage or egress span, ordered by start time, then
+    stage, then :data:`SPAN_KINDS`; glyphs: ``.`` queued, ``<``
+    fetching inputs, ``c`` cold start, ``#`` executing, ``>``
+    publishing output, ``e`` egress.
+    """
+    spans = sorted(
+        [s for stage in tree.stage_spans.values() for s in stage]
+        + tree.egress_spans,
+        key=lambda s: (s.start, s.stage, SPAN_KINDS.index(s.kind)),
+    )
+    if not spans:
+        return f"(no spans recorded for {tree.request_id})"
+    t0 = spans[0].start
+    horizon = max(max(s.end for s in spans) - t0, 1e-9)
+    scale = width / horizon
+    label_width = max(len(f"{s.stage}[{s.kind}]") for s in spans)
+    lines = [
+        f"request {tree.request_id}: {horizon * 1e3:.2f} ms "
+        f"(. queue, < get, c cold, # exec, > put)"
+    ]
+    for span in spans:
+        # Clamp into the chart: a span starting at the last column
+        # must still render >= 1 glyph inside the bounds.
+        begin = min(int((span.start - t0) * scale), width - 1)
+        length = max(1, int(round(span.duration * scale)))
+        length = min(length, width - begin)
+        bar = " " * begin + _GLYPHS[span.kind] * length
+        label = f"{span.stage}[{span.kind}]".ljust(label_width)
+        lines.append(f"{label} |{bar.ljust(width)}|")
+    return "\n".join(lines)
 
 
 class SpanTreeBuilder:

@@ -1,7 +1,6 @@
-"""Standard bus consumers: raw event capture and metric aggregation.
+"""Standard bus consumer: metric aggregation.
 
-:class:`TraceRecorder` appends every published event to a list (used by
-the Chrome trace exporter); :class:`StandardMetrics` folds events into a
+:class:`StandardMetrics` folds events into a
 :class:`~repro.telemetry.metrics.MetricsRegistry` under the ``net``,
 ``storage``, ``memory`` and ``scheduler`` namespaces.
 """
@@ -25,33 +24,9 @@ from repro.telemetry.events import (
     StoreEvict,
     StoreGet,
     StorePut,
-    TelemetryEvent,
     TransferFinished,
 )
 from repro.telemetry.metrics import MetricsRegistry
-
-
-class TraceRecorder:
-    """Collects every event published on a bus, in publish order."""
-
-    def __init__(self, events: Optional[list] = None) -> None:
-        self.events: list[TelemetryEvent] = (
-            events if events is not None else []
-        )
-        self._bus: Optional[EventBus] = None
-
-    def attach(self, bus: EventBus) -> "TraceRecorder":
-        self._bus = bus
-        bus.subscribe(None, self.events.append)
-        return self
-
-    def detach(self) -> None:
-        if self._bus is not None:
-            self._bus.unsubscribe(None, self.events.append)
-            self._bus = None
-
-    def __len__(self) -> int:
-        return len(self.events)
 
 
 class StandardMetrics:
@@ -115,9 +90,9 @@ class StandardMetrics:
     def detach(self) -> None:
         """Unsubscribe every handler from every bus it was attached to.
 
-        Mirrors :meth:`TraceRecorder.detach`: a registry reused across
-        ``capture()`` sessions would otherwise keep all handlers
-        subscribed forever and double-count events on a re-attach.
+        A registry reused across ``capture()`` sessions would otherwise
+        keep all handlers subscribed forever and double-count events on
+        a re-attach.
         """
         for bus, handlers in self._subscriptions:
             for event_type, handler in handlers.items():

@@ -1,8 +1,7 @@
 """Streaming telemetry sinks: spool the event bus to disk incrementally.
 
-The in-memory :class:`~repro.telemetry.TraceRecorder` and session
-event lists hold every published event in RAM, which caps a run at a
-few thousand requests.  A :class:`StreamingSink` consumes the bus
+A session's in-memory event list holds every published event in
+RAM, which caps a run at a few thousand requests.  A :class:`StreamingSink` consumes the bus
 incrementally instead: events are buffered in memory and flushed to
 disk whenever the buffer crosses a threshold, so telemetry stays
 complete on disk while the process footprint stays flat.

@@ -15,13 +15,12 @@ property the health pipeline (:mod:`repro.telemetry.health`) builds
 on — replaying a JSONL spool through a fresh store reproduces every
 series, and therefore every verdict, bit-identically.
 
-Samples use edge semantics (same rule as
-:meth:`~repro.metrics.stats.Timeline.sample_edge`): multiple
-transitions at one instant collapse to the final value.  An event
-whose timestamp precedes the series tail (a macro-flow split replaying
-virtual-timestamp batches) is clamped to the tail time and counted in
-the store's ``virtual_replays`` series rather than corrupting the
-ordering invariant.
+Samples use edge semantics: multiple transitions at one instant
+collapse to the final value.  An event whose timestamp precedes the
+series tail (a macro-flow split replaying virtual-timestamp batches)
+is clamped to the tail time and counted in the store's
+``virtual_replays`` series rather than corrupting the ordering
+invariant.
 """
 
 from __future__ import annotations

@@ -214,9 +214,6 @@ class NodeTopology:
         except KeyError:
             raise TopologyError(f"no link {src} -> {dst}") from None
 
-    def has_link(self, src: str, dst: str) -> bool:
-        return (src, dst) in self._links
-
     def all_links(self) -> Iterable[Link]:
         return self._links.values()
 

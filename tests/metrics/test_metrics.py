@@ -7,7 +7,6 @@ import pytest
 from repro.common.errors import ConfigError
 from repro.metrics import (
     LatencyRecorder,
-    SloTracker,
     Timeline,
     find_max_throughput,
 )
@@ -66,28 +65,6 @@ class TestTimeline:
         timeline.sample(5.0, 1.0)
         with pytest.raises(ConfigError):
             timeline.sample(4.0, 1.0)
-
-    def test_value_at_step_lookup(self):
-        timeline = Timeline()
-        timeline.sample(0.0, 1.0)
-        timeline.sample(10.0, 2.0)
-        assert timeline.value_at(5.0) == 1.0
-        assert timeline.value_at(10.0) == 2.0
-        assert timeline.value_at(99.0) == 2.0
-        assert math.isnan(timeline.value_at(-1.0))
-
-
-class TestSloTracker:
-    def test_attainment(self):
-        tracker = SloTracker()
-        for latency in (1.0, 2.0, 3.0, 4.0):
-            tracker.observe(latency, slo=2.5)
-        assert tracker.attained == 2
-        assert tracker.violated == 2
-        assert tracker.attainment == 0.5
-
-    def test_empty_is_nan(self):
-        assert math.isnan(SloTracker().attainment)
 
 
 class TestThroughputSearch:

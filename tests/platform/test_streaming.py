@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.experiments.harness import StreamingResultAggregator
 from repro.platform import build_platform
 from repro.traces import make_trace, stream_trace
 from repro.workflow import get_workload
@@ -93,12 +92,12 @@ class TestStreamingArrivals:
         stream = stream_trace(
             "sporadic", rate=3.0, duration=20.0, seed=5, limit=25
         )
-        agg = StreamingResultAggregator()
-        plat, dep = fresh(result_sink=agg, keep_results=False)
+        retired = []
+        plat, dep = fresh(result_sink=retired.append, keep_results=False)
         submitted = plat.run_trace_streaming(dep, stream)
         assert submitted == 25
-        assert agg.count == 25
-        assert agg.summary()["latency_ms"]["p99"] > 0
+        assert len(retired) == 25
+        assert all(r.latency > 0 for r in retired)
 
     def test_plain_iterable_is_accepted(self):
         plat, dep = fresh(keep_results=False)
@@ -106,44 +105,3 @@ class TestStreamingArrivals:
         assert submitted == 3
         assert plat.completed_count == 3
 
-
-class TestStreamingAggregator:
-    def test_exact_mode_matches_post_hoc_stats(self):
-        import numpy as np
-
-        trace = make_trace(**TRACE_KW)
-        agg = StreamingResultAggregator(mode="exact")
-        plat, dep = fresh(result_sink=agg, keep_results=True)
-        plat.run_trace_streaming(dep, trace)
-        latencies = [r.latency * 1000.0 for r in plat.results]
-        summary = agg.summary()
-        assert summary["count"] == len(latencies)
-        assert summary["latency_ms"]["p99"] == pytest.approx(
-            float(np.percentile(latencies, 99))
-        )
-        assert summary["latency_ms"]["mean"] == pytest.approx(
-            float(np.mean(latencies))
-        )
-
-    def test_bounded_mode_tracks_exact_aggregates(self):
-        trace = make_trace(**TRACE_KW)
-        exact = StreamingResultAggregator(mode="exact")
-        bounded = StreamingResultAggregator(mode="bounded")
-
-        def both(result):
-            exact(result)
-            bounded(result)
-
-        plat, dep = fresh(result_sink=both, keep_results=False)
-        plat.run_trace_streaming(dep, trace)
-        a, b = exact.summary(), bounded.summary()
-        assert b["count"] == a["count"]
-        assert b["bytes_moved"] == a["bytes_moved"]
-        assert b["latency_ms"]["mean"] == pytest.approx(
-            a["latency_ms"]["mean"]
-        )
-        assert b["latency_ms"]["max"] == a["latency_ms"]["max"]
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError, match="unknown aggregator mode"):
-            StreamingResultAggregator(mode="p2")

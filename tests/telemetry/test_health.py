@@ -1,5 +1,7 @@
 """Tests for health snapshot assembly (repro.telemetry.health)."""
 
+import pytest
+
 from repro.telemetry.events import (
     FlowFinished,
     FlowsReallocated,
@@ -72,12 +74,18 @@ class TestDetectors:
     def test_too_few_samples_is_no_verdict(self):
         assert detect_queue_growth(queue_series([5, 6, 7])) is None
 
-    def test_collapse_positive(self):
+    # Simulated link ids contain dots, so the detector must strip the
+    # series prefix rather than split on the last dot.
+    @pytest.mark.parametrize("link", ["l0", "n0.g0>n0.sw0"])
+    def test_collapse_positive(self, link):
         store = TimeSeriesStore()
-        store.feed(flow_started(0.0, 1))
-        store.feed(reallocated(0.0, 1, (80.0,)))   # util 0.8
-        store.feed(reallocated(1.0, 1, (0.0,)))    # util 0.0, still active
-        hit = detect_utilization_collapse(store.get("link.util.l0"), store)
+        links = (link,)
+        store.feed(flow_started(0.0, 1, links=links))
+        store.feed(reallocated(0.0, 1, (80.0,), links=links))   # util 0.8
+        store.feed(reallocated(1.0, 1, (0.0,), links=links))    # util 0.0
+        hit = detect_utilization_collapse(
+            store.get(f"link.util.{link}"), store
+        )
         assert hit is not None
         assert hit["detector"] == "utilization_collapse"
 

@@ -1,5 +1,10 @@
-"""Span-tree assembly from telemetry event streams."""
+"""Span-tree assembly from telemetry event streams, and Gantt rendering."""
 
+import pytest
+
+from repro.dataplane import make_plane
+from repro.platform import ServerlessPlatform
+from repro.sim import Environment
 from repro.telemetry import EventBus
 from repro.telemetry.events import (
     FlowFinished,
@@ -15,9 +20,14 @@ from repro.telemetry.events import (
 )
 from repro.telemetry.profiler import (
     FlowRecord,
+    RequestTree,
+    Span,
     SpanTreeBuilder,
     build_profiles,
+    gantt,
 )
+from repro.topology import make_cluster
+from repro.workflow import get_workload
 
 
 def request_stream(rid="r0", t0=0.0):
@@ -168,3 +178,118 @@ class TestBuildProfiles:
         builders = build_profiles(request_stream())
         assert list(builders) == [0]
         assert builders[0].requests["r0"].complete
+
+
+def trace_driving(plane_name):
+    """One driving request on *plane_name*, its span tree built live."""
+    env = Environment()
+    cluster = make_cluster("dgx-v100")
+    plane = make_plane(plane_name, env, cluster)
+    platform = ServerlessPlatform(env, cluster, plane)
+    env.telemetry = EventBus()
+    builder = SpanTreeBuilder().attach(env.telemetry)
+    proc = platform.submit(platform.deploy(get_workload("driving")))
+    env.run()
+    return proc.value, builder.requests[proc.value.request_id]
+
+
+def all_spans(tree):
+    return [
+        s for spans in (*tree.stage_spans.values(), tree.egress_spans)
+        for s in spans
+    ]
+
+
+class TestPlatformSpans:
+    def test_platform_emits_spans_per_stage(self):
+        _, tree = trace_driving("grouter")
+        spans = all_spans(tree)
+        assert {s.stage for s in spans} == {
+            "gpu-denoise", "unet-seg", "gpu-colorize"
+        }
+        assert {"get", "exec", "put"} <= {s.kind for s in spans}
+        assert all(s.end >= s.start for s in spans)
+
+    def test_span_totals_match_stage_records(self):
+        result, tree = trace_driving("infless+")
+        spans = all_spans(tree)
+        assert all(s.end >= s.start for s in spans)
+        exec_total = sum(s.duration for s in spans if s.kind == "exec")
+        get_total = sum(s.duration for s in spans if s.kind == "get")
+        assert exec_total == pytest.approx(result.compute_time)
+        recorded_get = sum(
+            r.get_time for r in result.stage_records.values()
+        )
+        assert get_total == pytest.approx(recorded_get)
+
+
+def tree_of(*spans):
+    """A request tree holding ``(stage, kind, start, end)`` spans."""
+    tree = RequestTree(request_id="r", workflow="wf", arrived=0.0)
+    for stage, kind, start, end in spans:
+        span = Span(kind=kind, start=start, end=end, stage=stage)
+        if kind == "egress":
+            tree.egress_spans.append(span)
+        else:
+            tree.stage_spans.setdefault(stage, []).append(span)
+    return tree
+
+
+class TestGantt:
+    def test_empty_request(self):
+        assert "no spans" in gantt(tree_of())
+
+    def test_renders_rows_and_glyphs(self):
+        chart = gantt(tree_of(("stage", "get", 0.0, 0.5),
+                              ("stage", "exec", 0.5, 1.0)), width=20)
+        lines = chart.splitlines()
+        assert len(lines) == 3
+        assert "<" in lines[1]
+        assert "#" in lines[2]
+
+    def test_rows_ordered_by_time_stage_then_kind(self):
+        # Egress spans merge into the stage rows; ties on start break by
+        # stage name, then by kind order, not by publish order.
+        tree = tree_of(("b", "exec", 2.0, 3.0), ("b", "get", 2.0, 2.0),
+                       ("b", "put", 3.0, 3.2), ("a", "egress", 3.0, 3.5),
+                       ("a", "get", 0.0, 1.0))
+        labels = [line.split(" ")[0]
+                  for line in gantt(tree).splitlines()[1:]]
+        assert labels == [
+            "a[get]", "b[get]", "b[exec]", "a[egress]", "b[put]"
+        ]
+
+    def test_zero_duration_span_renders_one_glyph(self):
+        chart = gantt(tree_of(("s", "exec", 0.0, 1.0),
+                              ("s", "put", 1.0, 1.0)), width=20)
+        put_row = next(r for r in chart.splitlines() if "[put]" in r)
+        assert put_row.count(">") == 1
+
+    def test_span_at_right_edge_stays_in_bounds(self):
+        # A span starting at the very last column must neither round to
+        # zero glyphs nor spill past the chart edge.
+        width = 20
+        chart = gantt(tree_of(("s", "exec", 0.0, 1.0),
+                              ("s", "put", 1.0, 1.0)), width=width)
+        for line in chart.splitlines()[1:]:
+            bar = line.split("|")[1]
+            assert len(bar) == width
+            assert bar.strip(), "every span renders at least one glyph"
+
+    def test_all_zero_duration_spans(self):
+        chart = gantt(tree_of(("a", "get", 2.0, 2.0),
+                              ("b", "exec", 2.0, 2.0)), width=10)
+        assert "<" in chart and "#" in chart
+
+    def test_overlapping_stages_render_separate_rows(self):
+        chart = gantt(tree_of(("branch-a", "exec", 0.0, 2.0),
+                              ("branch-b", "exec", 0.5, 1.5)), width=40)
+        lines = chart.splitlines()
+        assert len(lines) == 3
+        assert "branch-a[exec]" in lines[1]
+        assert "branch-b[exec]" in lines[2]
+        # The inner span starts later and ends earlier than the outer.
+        outer = lines[1].split("|")[1]
+        inner = lines[2].split("|")[1]
+        assert inner.index("#") > outer.index("#")
+        assert len(inner.rstrip()) < len(outer.rstrip())

@@ -5,12 +5,7 @@ import pytest
 from repro.dataplane import make_plane
 from repro.platform import ServerlessPlatform
 from repro.sim import Environment
-from repro.telemetry import (
-    StandardMetrics,
-    TelemetrySession,
-    TraceRecorder,
-    capture,
-)
+from repro.telemetry import StandardMetrics, capture
 from repro.telemetry.events import (
     FlowFinished,
     PlacementDecision,
@@ -102,23 +97,6 @@ class TestCapture:
 
 
 class TestRecorderHelpers:
-    def test_trace_recorder_detach_stops_capture(self):
-        session = TelemetrySession()
-        env = Environment()
-        session.attach(env)
-        recorder = TraceRecorder()
-        recorder.attach(env.telemetry)
-        env.telemetry.publish(
-            StorePut(t=0.0, object_id="o", device_id="n0.g0",
-                     size=1.0, placement="gpu")
-        )
-        recorder.detach()
-        env.telemetry.publish(
-            StorePut(t=1.0, object_id="o2", device_id="n0.g0",
-                     size=1.0, placement="gpu")
-        )
-        assert len(recorder.events) == 1
-
     def test_standard_metrics_namespaces_exist_before_any_event(self):
         metrics = StandardMetrics()
         assert set(metrics.registry.namespaces()) == {
