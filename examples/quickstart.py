@@ -12,7 +12,7 @@ Run:  python examples/quickstart.py
 from repro.common.units import MB, fmt_time
 from repro.dataplane import PLANES, make_plane
 from repro.functions import FnContext, FunctionInstance, get_spec
-from repro.sim import Environment, Resource
+from repro.sim import Environment
 from repro.topology import make_cluster
 
 SIZE = 256 * MB
@@ -25,7 +25,6 @@ def make_context(env, node, gpu_index, model):
         get_spec(model),
         node,
         gpu=node.gpu(gpu_index),
-        gpu_resource=Resource(env),
     )
     return FnContext(instance, workflow_id="wf-demo", request_id="req-0")
 

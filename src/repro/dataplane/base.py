@@ -32,7 +32,7 @@ from repro.sim.resources import Container
 from repro.storage.catalog import AccessController, DataCatalog
 from repro.storage.objects import DataObject, DataRef
 from repro.storage.stores import GpuStore, HostStore
-from repro.telemetry.events import PlaneInfo, RouteSelected, StoreEvict, StoreGet
+from repro.telemetry.events import PlaneInfo, StoreEvict, StoreGet
 from repro.topology.cluster import ClusterTopology
 from repro.topology.routebook import cluster_route_book, route_book
 from repro.workflow.dag import Workflow
@@ -246,14 +246,13 @@ class DataPlane(abc.ABC):
         ctx: FnContext,
         size: float,
         expected_consumers: int = 1,
-        priority: float = 0.0,
     ) -> Process:
         """Store *size* bytes produced by *ctx*; yields a DataRef."""
         if size <= 0:
             raise StorageError(f"put size must be positive, got {size}")
         self.metrics.puts += 1
         return self.env.process(
-            self._put(ctx, float(size), expected_consumers, priority)
+            self._put(ctx, float(size), expected_consumers)
         )
 
     def get(self, ctx: FnContext, ref: DataRef) -> Process:
@@ -329,8 +328,7 @@ class DataPlane(abc.ABC):
 
     # -- hooks implemented by concrete planes ----------------------------------
     @abc.abstractmethod
-    def _put(self, ctx: FnContext, size: float, expected_consumers: int,
-             priority: float):
+    def _put(self, ctx: FnContext, size: float, expected_consumers: int):
         """Generator implementing Put; returns a DataRef."""
 
     @abc.abstractmethod
@@ -339,11 +337,7 @@ class DataPlane(abc.ABC):
 
     # -- shared helpers ---------------------------------------------------------
     def _new_object(
-        self,
-        ctx: FnContext,
-        size: float,
-        expected_consumers: int,
-        priority: float,
+        self, ctx: FnContext, size: float, expected_consumers: int
     ) -> DataObject:
         return DataObject(
             object_id=self.ids.next("data"),
@@ -351,7 +345,6 @@ class DataPlane(abc.ABC):
             workflow_id=ctx.workflow_id,
             producer=ctx.function_name,
             created_at=self.env.now,
-            priority=priority,
             expected_consumers=expected_consumers,
         )
 
@@ -416,17 +409,6 @@ class DataPlane(abc.ABC):
     ):
         """Generator: execute a transfer and record it in metrics."""
         started = self.env.now
-        bus = self.env.telemetry
-        if bus is not None:
-            bus.publish(RouteSelected(
-                t=started,
-                category=category,
-                src=src,
-                dst=dst,
-                routes=tuple(
-                    "->".join(path.devices()) for path in paths
-                ),
-            ))
         use_chunked = self.chunked if chunked is None else chunked
         pinned = self.pinned[pinned_node] if pinned_node is not None else None
         yield self.engine.transfer(

@@ -147,9 +147,8 @@ class GRouterPlane(DataPlane):
             manager.notify_consume(obj.producer)
 
     # -- Put ----------------------------------------------------------------
-    def _put(self, ctx: FnContext, size: float, expected_consumers: int,
-             priority: float):
-        obj = self._new_object(ctx, size, expected_consumers, priority)
+    def _put(self, ctx: FnContext, size: float, expected_consumers: int):
+        obj = self._new_object(ctx, size, expected_consumers)
         self._notify_arrival(ctx)
         if not ctx.is_gpu:
             # cFn output already sits in host memory.

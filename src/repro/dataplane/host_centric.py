@@ -26,9 +26,8 @@ class HostCentricPlane(DataPlane):
 
     name = "infless+"
 
-    def _put(self, ctx: FnContext, size: float, expected_consumers: int,
-             priority: float):
-        obj = self._new_object(ctx, size, expected_consumers, priority)
+    def _put(self, ctx: FnContext, size: float, expected_consumers: int):
+        obj = self._new_object(ctx, size, expected_consumers)
         if ctx.is_gpu:
             # Device-to-host copy over the local PCIe uplink.
             path = self._direct_host_path(ctx.node, ctx.gpu, "to_host")

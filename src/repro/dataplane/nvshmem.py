@@ -122,9 +122,8 @@ class NvshmemPlane(DataPlane):
         )
 
     # -- Put -----------------------------------------------------------------
-    def _put(self, ctx: FnContext, size: float, expected_consumers: int,
-             priority: float):
-        obj = self._new_object(ctx, size, expected_consumers, priority)
+    def _put(self, ctx: FnContext, size: float, expected_consumers: int):
+        obj = self._new_object(ctx, size, expected_consumers)
         storage_gpu = self._pick_storage_gpu(ctx.node)
         placed = yield from self._store_on_gpu_or_spill(
             obj, storage_gpu.device_id, self._eviction

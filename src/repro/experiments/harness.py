@@ -16,7 +16,7 @@ from repro.dataplane import make_plane
 from repro.dataplane.base import DataPlane
 from repro.functions import FnContext, FunctionInstance, get_spec
 from repro.platform import RequestResult, ServerlessPlatform
-from repro.sim import Environment, Resource
+from repro.sim import Environment
 from repro.topology import ClusterTopology, make_cluster
 from repro.traces import make_trace
 from repro.workflow import WorkloadSpec, get_workload
@@ -68,7 +68,6 @@ def gpu_ctx(
         get_spec(model),
         node,
         gpu=node.gpu(gpu_index),
-        gpu_resource=Resource(testbed.env),
     )
     return FnContext(instance, workflow_id, "req-probe",
                      slo_deadline=slo_deadline)

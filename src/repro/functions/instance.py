@@ -1,9 +1,11 @@
 """Function instances: deployed containers executing on CPU or GPU.
 
-GPU functions time-share their device (capacity-1 execution resource,
-matching the paper's temporal-sharing model); CPU functions run on host
-cores with ample parallelism.  An instance's placement (which physical
-GPU it occupies) is the fact GROUTER exploits and the baselines lack.
+An instance only models an invocation's compute time; the device slot
+it runs in (capacity-1 for GPUs under the paper's temporal-sharing
+model, ample host cores for CPU functions) is held by the caller — the
+platform takes it before fetching inputs and keeps it through the
+output put.  An instance's placement (which physical GPU it occupies)
+is the fact GROUTER exploits and the baselines lack.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from typing import Optional
 from repro.common.errors import SchedulingError
 from repro.functions.spec import FunctionSpec
 from repro.sim.core import Environment, Process
-from repro.sim.resources import Resource
 from repro.telemetry.events import ReplicaOutstanding
 from repro.topology.devices import Gpu
 from repro.topology.node import NodeTopology
@@ -27,7 +28,6 @@ class ExecutionRecord:
 
     started_at: float
     finished_at: float
-    queued_for: float
 
     @property
     def duration(self) -> float:
@@ -45,15 +45,11 @@ class FunctionInstance:
         spec: FunctionSpec,
         node: NodeTopology,
         gpu: Optional[Gpu] = None,
-        gpu_resource: Optional[Resource] = None,
-        cpu_resource: Optional[Resource] = None,
         speed_factor: float = 1.0,
         alias: Optional[str] = None,
     ) -> None:
-        if spec.is_gpu and (gpu is None or gpu_resource is None):
-            raise SchedulingError(
-                f"{spec.name}: GPU function needs a gpu and its resource"
-            )
+        if spec.is_gpu and gpu is None:
+            raise SchedulingError(f"{spec.name}: GPU function needs a gpu")
         if not spec.is_gpu and gpu is not None:
             raise SchedulingError(f"{spec.name}: CPU function placed on a GPU")
         self.env = env
@@ -62,8 +58,6 @@ class FunctionInstance:
         self.gpu = gpu
         self.alias = alias if alias is not None else spec.name
         self.instance_id = f"{self.alias}#{next(FunctionInstance._ids)}"
-        self._gpu_resource = gpu_resource
-        self._cpu_resource = cpu_resource
         self.speed_factor = speed_factor
         # Per-invocation timing history, used by dispatch-balance
         # assertions and experiment accounting.  Streaming runs set
@@ -108,12 +102,6 @@ class FunctionInstance:
                 outstanding=self.outstanding,
             ))
 
-    def execute(
-        self, batch: int = 1, input_bytes: float = 0.0, priority: float = 0.0
-    ) -> Process:
-        """Run one invocation; yields an :class:`ExecutionRecord`."""
-        return self.env.process(self._execute(batch, input_bytes, priority))
-
     def execute_held(self, batch: int = 1, input_bytes: float = 0.0) -> Process:
         """Run an invocation whose device slot the caller already holds.
 
@@ -126,34 +114,7 @@ class FunctionInstance:
     def _execute_held(self, batch: int, input_bytes: float):
         started = self.env.now
         yield self.env.timeout(self.execution_latency(batch, input_bytes))
-        record = ExecutionRecord(
-            started_at=started,
-            finished_at=self.env.now,
-            queued_for=0.0,
-        )
-        self.execution_count += 1
-        if self.keep_executions:
-            self.executions.append(record)
-        return record
-
-    def _execute(self, batch: int, input_bytes: float, priority: float):
-        resource = self._gpu_resource if self.is_gpu else self._cpu_resource
-        arrived = self.env.now
-        request = None
-        if resource is not None:
-            request = resource.request(priority=priority)
-            yield request
-        started = self.env.now
-        try:
-            yield self.env.timeout(self.execution_latency(batch, input_bytes))
-        finally:
-            if resource is not None and request is not None:
-                resource.release(request)
-        record = ExecutionRecord(
-            started_at=started,
-            finished_at=self.env.now,
-            queued_for=started - arrived,
-        )
+        record = ExecutionRecord(started_at=started, finished_at=self.env.now)
         self.execution_count += 1
         if self.keep_executions:
             self.executions.append(record)

@@ -316,7 +316,6 @@ class ServerlessPlatform:
                 stage.spec,
                 node,
                 gpu=gpu,
-                gpu_resource=self.gpu_resources[device_id],
                 speed_factor=effective_speed,
                 alias=stage.name,
             )
@@ -333,7 +332,6 @@ class ServerlessPlatform:
                 self.env,
                 stage.spec,
                 node,
-                cpu_resource=self.cpu_resources[node.node_id],
                 alias=stage.name,
             )
         instance.keep_executions = self.keep_results
@@ -631,7 +629,6 @@ class ServerlessPlatform:
         deployment: Deployment,
         trace: Union[Trace, Iterable[float]],
         drain: float = 60.0,
-        monitor=None,
     ) -> int:
         """Replay *trace* without retaining per-request state.
 
@@ -642,12 +639,8 @@ class ServerlessPlatform:
         kept, and completed results reach only :attr:`result_sink`.
         Callers who want the results list anyway can leave
         ``keep_results=True``; the streaming harness sets it False.
-
-        ``monitor`` (a :class:`~repro.telemetry.heartbeat.RunMonitor`)
-        is ticked on every arrival so heartbeats fire even while a
-        burst keeps completions scarce.  Returns the number of
-        requests submitted; completions are available as
-        :attr:`completed_count`.
+        Returns the number of requests submitted; completions are
+        available as :attr:`completed_count`.
         """
         submitted = 0
         config = getattr(trace, "config", None)
@@ -662,8 +655,6 @@ class ServerlessPlatform:
                 last_arrival = self.env.now
                 self.submit(deployment)
                 submitted += 1
-                if monitor is not None:
-                    monitor.tick()
             if duration is None:
                 # No config to bound the horizon: idle out the drain
                 # window after the last arrival instead.

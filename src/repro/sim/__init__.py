@@ -2,27 +2,22 @@
 
 from repro.sim.core import (
     AllOf,
-    AnyOf,
     Environment,
     Event,
-    Interrupt,
     Process,
     ScheduledCall,
     Timeout,
 )
-from repro.sim.resources import Container, Request, Resource, Store
+from repro.sim.resources import Container, Request, Resource
 
 __all__ = [
     "AllOf",
-    "AnyOf",
     "Environment",
     "Event",
-    "Interrupt",
     "Process",
     "ScheduledCall",
     "Timeout",
     "Container",
     "Request",
     "Resource",
-    "Store",
 ]

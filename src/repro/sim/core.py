@@ -65,14 +65,6 @@ class ScheduledCall:
         self._env._note_stale()
 
 
-class Interrupt(Exception):
-    """Thrown into a process by :meth:`Process.interrupt`."""
-
-    def __init__(self, cause: Any = None) -> None:
-        super().__init__(cause)
-        self.cause = cause
-
-
 class Event:
     """A one-shot occurrence that processes can wait on.
 
@@ -177,34 +169,6 @@ class Timeout(Event):
         env._post(self, delay=delay)
 
 
-class AnyOf(Event):
-    """Fires when the first of *events* fires (with a dict of done events)."""
-
-    __slots__ = ("_events", "_done")
-
-    def __init__(self, env: "Environment", events: list[Event]) -> None:
-        super().__init__(env)
-        self._events = list(events)
-        self._done: dict[Event, Any] = {}
-        if not self._events:
-            self.succeed(self._done)
-            return
-        for event in self._events:
-            event.subscribe(self._on_child)
-
-    def _on_child(self, event: Event) -> None:
-        if self.triggered:
-            if not event.ok:
-                event.defuse()
-            return
-        if not event.ok:
-            event.defuse()
-            self.fail(event.value)
-            return
-        self._done[event] = event.value
-        self.succeed(self._done)
-
-
 class AllOf(Event):
     """Fires when all of *events* have fired (with a dict of values)."""
 
@@ -241,7 +205,7 @@ class Process(Event):
     event's value (or the exception is thrown into it on failure).
     """
 
-    __slots__ = ("_generator", "_waiting_on", "_resume_callback")
+    __slots__ = ("_generator",)
 
     def __init__(self, env: "Environment", generator: Generator) -> None:
         if not isinstance(generator, Generator):
@@ -250,27 +214,8 @@ class Process(Event):
             )
         super().__init__(env)
         self._generator = generator
-        self._waiting_on: Optional[Event] = None
-        self._resume_callback: Optional[Callable[[Event], None]] = None
         # Bootstrap: start the generator at the current time.
         env._schedule_call(lambda: self._resume(None, None))
-
-    @property
-    def is_alive(self) -> bool:
-        """Whether the underlying generator has not yet finished."""
-        return not self.triggered
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time."""
-        if self.triggered:
-            raise SimulationError("cannot interrupt a finished process")
-        waiting, callback = self._waiting_on, self._resume_callback
-        if waiting is not None and callback is not None:
-            if callback in waiting.callbacks:
-                waiting.callbacks.remove(callback)
-        self._waiting_on = None
-        self._resume_callback = None
-        self.env._schedule_call(lambda: self._resume(None, Interrupt(cause)))
 
     # -- internals --------------------------------------------------------
     def _resume(self, value: Any, exc: Optional[BaseException]) -> None:
@@ -293,18 +238,13 @@ class Process(Event):
         self._wait_for(target)
 
     def _wait_for(self, event: Event) -> None:
-        self._waiting_on = event
-
         def _on_event(evt: Event) -> None:
-            self._waiting_on = None
-            self._resume_callback = None
             if evt._ok:
                 self._resume(evt.value, None)
             else:
                 evt.defuse()
                 self._resume(None, evt.value)
 
-        self._resume_callback = _on_event
         event.subscribe(_on_event)
 
 
@@ -326,8 +266,8 @@ class Environment:
     # queues are cheaper to drain than to rebuild.
     _COMPACT_MIN_STALE = 8
 
-    def __init__(self, initial_time: float = 0.0) -> None:
-        self._now = initial_time
+    def __init__(self) -> None:
+        self._now = 0.0
         self._queue: list[tuple[float, int, object]] = []
         self._seq = 0
         self._stale = 0
@@ -374,10 +314,6 @@ class Environment:
     def process(self, generator: Generator) -> Process:
         """Start *generator* as a process; returns its completion event."""
         return Process(self, generator)
-
-    def any_of(self, events: list[Event]) -> AnyOf:
-        """Event that fires when any of *events* fires."""
-        return AnyOf(self, events)
 
     def all_of(self, events: list[Event]) -> AllOf:
         """Event that fires when all of *events* have fired."""
@@ -499,7 +435,3 @@ class Environment:
             self.step()
         if until is not None:
             self._now = max(self._now, until)
-
-    def peek(self) -> float:
-        """Time of the next queued entry, or ``inf`` when empty."""
-        return self._queue[0][0] if self._queue else float("inf")

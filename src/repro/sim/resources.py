@@ -1,13 +1,9 @@
 """Shared-resource primitives built on the simulation kernel.
 
 ``Resource``
-    Counting semaphore with FIFO (optionally priority) queueing.  GPUs
-    are modelled as capacity-1 resources, matching the paper's
-    time-multiplexed GPU sharing (footnote in §4.3.2).
-
-``Store``
-    An unbounded FIFO buffer of items; ``get`` blocks until an item is
-    available.  Used for request queues.
+    Counting semaphore with FIFO queueing.  GPUs are modelled as
+    capacity-1 resources, matching the paper's time-multiplexed GPU
+    sharing (footnote in §4.3.2).
 
 ``Container``
     A continuous-level tank with blocking ``get``; used for pinned
@@ -16,8 +12,8 @@
 
 from __future__ import annotations
 
-import heapq
-from typing import Any, Callable, Optional
+from collections import deque
+from typing import Callable, Optional
 
 from repro.common.errors import SimulationError
 from repro.sim.core import Environment, Event
@@ -27,19 +23,18 @@ class Request(Event):
     """The event returned by :meth:`Resource.request`.
 
     Fires when the resource grants a slot.  Must be released via
-    :meth:`Resource.release` (or used as a context token).
+    :meth:`Resource.release`.
     """
 
-    __slots__ = ("resource", "priority")
+    __slots__ = ("resource",)
 
-    def __init__(self, resource: "Resource", priority: float) -> None:
+    def __init__(self, resource: "Resource") -> None:
         super().__init__(resource.env)
         self.resource = resource
-        self.priority = priority
 
 
 class Resource:
-    """Counting semaphore with deterministic priority-FIFO queueing."""
+    """Counting semaphore granting slots in request (FIFO) order."""
 
     def __init__(self, env: Environment, capacity: int = 1) -> None:
         if capacity < 1:
@@ -47,87 +42,28 @@ class Resource:
         self.env = env
         self.capacity = capacity
         self._in_use: int = 0
-        self._seq = 0
-        # Heap of (priority, seq, request); lower priority value first.
-        self._waiting: list[tuple[float, int, Request]] = []
+        self._waiting: deque[Request] = deque()
 
-    @property
-    def count(self) -> int:
-        """Number of slots currently held."""
-        return self._in_use
-
-    @property
-    def queue_len(self) -> int:
-        """Number of requests waiting for a slot."""
-        return len(self._waiting)
-
-    def request(self, priority: float = 0.0) -> Request:
+    def request(self) -> Request:
         """Ask for a slot; the returned event fires when granted."""
-        req = Request(self, priority)
+        req = Request(self)
         if self._in_use < self.capacity and not self._waiting:
             self._in_use += 1
             req.succeed()
         else:
-            heapq.heappush(self._waiting, (priority, self._seq, req))
-            self._seq += 1
+            self._waiting.append(req)
         return req
 
     def release(self, request: Request) -> None:
-        """Return the slot held by *request* to the pool."""
+        """Return the slot held by *request*; grants the oldest waiter."""
         if request.resource is not self:
             raise SimulationError("release() of a foreign request")
         self._in_use -= 1
         if self._in_use < 0:
             raise SimulationError("release() without a matching request")
-        self._grant_next()
-
-    def cancel(self, request: Request) -> None:
-        """Withdraw a queued (not yet granted) request."""
-        self._waiting = [
-            entry for entry in self._waiting if entry[2] is not request
-        ]
-        heapq.heapify(self._waiting)
-
-    def _grant_next(self) -> None:
         while self._waiting and self._in_use < self.capacity:
-            _prio, _seq, req = heapq.heappop(self._waiting)
-            if req.triggered:  # cancelled or failed elsewhere
-                continue
             self._in_use += 1
-            req.succeed()
-
-
-class Store:
-    """Unbounded FIFO item buffer with blocking ``get``."""
-
-    def __init__(self, env: Environment) -> None:
-        self.env = env
-        self._items: list[Any] = []
-        self._getters: list[Event] = []
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def put(self, item: Any) -> None:
-        """Insert *item*; wakes the oldest blocked getter, if any."""
-        if self._getters:
-            getter = self._getters.pop(0)
-            getter.succeed(item)
-        else:
-            self._items.append(item)
-
-    def get(self) -> Event:
-        """Return an event that fires with the next item."""
-        event = self.env.event()
-        if self._items:
-            event.succeed(self._items.pop(0))
-        else:
-            self._getters.append(event)
-        return event
-
-    def peek_items(self) -> list[Any]:
-        """Snapshot of buffered items (read-only view for policies)."""
-        return list(self._items)
+            self._waiting.popleft().succeed()
 
 
 class Container:

@@ -60,7 +60,6 @@ class DataObject:
     workflow_id: str
     producer: str
     created_at: float
-    priority: float = 0.0
     expected_consumers: int = 1
     consumed_count: int = 0
     last_access: float = field(default=0.0)

@@ -26,7 +26,6 @@ from repro.telemetry.events import (
     ReplicaOutstanding,
     RequestArrived,
     RequestFinished,
-    RouteSelected,
     StageQueueDepth,
     StageSpan,
     StoreEvict,
@@ -43,7 +42,6 @@ from repro.telemetry.health import (
     format_dashboard,
     health_trace_events,
 )
-from repro.telemetry.heartbeat import RunMonitor, current_rss_bytes
 from repro.telemetry.metrics import (
     BoundedGauge,
     Counter,
@@ -93,8 +91,6 @@ __all__ = [
     "ReplicaOutstanding",
     "RequestArrived",
     "RequestFinished",
-    "RouteSelected",
-    "RunMonitor",
     "SloBoard",
     "SloSpec",
     "SloTracker",
@@ -113,7 +109,6 @@ __all__ = [
     "build_health",
     "build_run_health",
     "capture",
-    "current_rss_bytes",
     "decode_event",
     "default_specs",
     "encode_event",

@@ -3,7 +3,7 @@
 Every modelled resource emits one of these when telemetry is enabled:
 the flow network (per-flow link occupancy), the transfer engine
 (chunk-batched transfers), the GPU/host stores (residency changes), the
-data planes (Put/Get/evictions and route choices), the memory pools
+data planes (start-up, Gets and evictions), the memory pools
 (alloc/free with occupancy), the placement policies, and the platform
 (request lifecycle and per-stage spans).
 
@@ -113,16 +113,6 @@ class TransferFinished(TelemetryEvent):
     dst: str
     started_at: float
     owner: str = ""
-
-
-@dataclass(frozen=True)
-class RouteSelected(TelemetryEvent):
-    """A data plane picked the link paths for one transfer."""
-
-    category: str
-    src: str
-    dst: str
-    routes: tuple[str, ...]
 
 
 # -- storage ------------------------------------------------------------------

@@ -177,7 +177,7 @@ def gantt(tree: RequestTree, width: int = 60) -> str:
     label_width = max(len(f"{s.stage}[{s.kind}]") for s in spans)
     lines = [
         f"request {tree.request_id}: {horizon * 1e3:.2f} ms "
-        f"(. queue, < get, c cold, # exec, > put)"
+        f"(. queue, < get, c cold, # exec, > put, e egress)"
     ]
     for span in spans:
         # Clamp into the chart: a span starting at the last column

@@ -89,11 +89,6 @@ class TelemetrySession:
         return bus
 
     # -- streaming lifecycle -------------------------------------------------
-    @property
-    def event_backlog(self) -> int:
-        """Events buffered in sinks but not yet pushed to the OS."""
-        return sum(getattr(sink, "backlog", 0) for sink in self.sinks)
-
     def flush(self) -> None:
         for sink in self.sinks:
             sink.flush()

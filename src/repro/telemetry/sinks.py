@@ -1,10 +1,13 @@
 """Streaming telemetry sinks: spool the event bus to disk incrementally.
 
 A session's in-memory event list holds every published event in
-RAM, which caps a run at a few thousand requests.  A :class:`StreamingSink` consumes the bus
-incrementally instead: events are buffered in memory and flushed to
-disk whenever the buffer crosses a threshold, so telemetry stays
-complete on disk while the process footprint stays flat.
+RAM, which caps a run at a few thousand requests.  A
+:class:`StreamingSink` consumes the bus incrementally instead: events
+are buffered in memory and flushed to disk whenever the buffer crosses
+a threshold, so telemetry stays complete on disk while the process
+footprint stays flat.  Both file sinks count what reached the file:
+``records_written`` (spool rows or trace records), ``bytes_written``
+(characters handed to the file) and ``flushes``.
 
 Two writers are provided:
 
@@ -44,7 +47,6 @@ import itertools
 import json
 import operator
 import os
-import time
 from typing import IO, Iterable, Iterator, Optional, Protocol, Sequence, Union
 
 from repro.common.errors import ConfigError
@@ -150,7 +152,6 @@ class _FileSink:
             raise ConfigError("flush thresholds must be >= 1")
         self.path = os.fspath(path)
         self.flush_events = flush_events
-        self.events_handled = 0
         self.records_written = 0
         self.bytes_written = 0
         self.flushes = 0
@@ -202,8 +203,7 @@ class JsonlEventSink(_FileSink):
     event; every ``flush_events`` events :meth:`flush` encodes the
     batch in one call and writes it as one line.  Deferring the
     encoding is safe because events are frozen and their field values
-    immutable.  ``busy_s`` accumulates the host seconds spent in
-    :meth:`flush`, where all encoding, compression and writing happen.
+    immutable.
     """
 
     def __init__(
@@ -218,7 +218,6 @@ class JsonlEventSink(_FileSink):
             else os.fspath(path).endswith(".gz")
         )
         self._batch: list[tuple[int, TelemetryEvent]] = []
-        self.busy_s = 0.0
         super().__init__(path, flush_events)
 
     def _open(self) -> IO[str]:
@@ -230,14 +229,8 @@ class JsonlEventSink(_FileSink):
         self.bytes_written += len(_HEADER_LINE)
         return file
 
-    @property
-    def backlog(self) -> int:
-        """Events queued in memory, not yet pushed to the OS."""
-        return len(self._batch)
-
     def handle(self, run: int, event: TelemetryEvent) -> None:
         self._check_open()
-        self.events_handled += 1
         batch = self._batch
         batch.append((run, event))
         if len(batch) >= self.flush_events:
@@ -246,11 +239,9 @@ class JsonlEventSink(_FileSink):
     def flush(self) -> None:
         if self._file is None or not self._batch:
             return
-        start = time.perf_counter()
         rows = [encode_event(run, event) for run, event in self._batch]
         self._write(_JSON.encode(rows) + "\n", len(rows))
         self._batch.clear()
-        self.busy_s += time.perf_counter() - start
 
 
 class ChromeStreamingSink(_FileSink):
@@ -291,11 +282,6 @@ class ChromeStreamingSink(_FileSink):
         file.write("[\n")
         return file
 
-    @property
-    def backlog(self) -> int:
-        """Records buffered in memory, not yet pushed to the OS."""
-        return len(self._buffer)
-
     def _record(self, record: dict) -> None:
         self._check_open()
         prefix = "" if self._first else ",\n"
@@ -308,7 +294,6 @@ class ChromeStreamingSink(_FileSink):
             self.flush()
 
     def handle(self, run: int, event: TelemetryEvent) -> None:
-        self.events_handled += 1
         prefix = f"run{run}:" if self.multi_run else ""
         for record in convert_event(event, prefix):
             self._pids.add(record["pid"])

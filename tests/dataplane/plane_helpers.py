@@ -1,7 +1,6 @@
 """Helper builders shared by data-plane and platform tests."""
 
 from repro.functions import FnContext, FunctionInstance, get_spec
-from repro.sim import Resource
 
 
 def make_gpu_ctx(env, node, gpu_index, model="yolo-det", workflow_id="wf-0",
@@ -12,7 +11,6 @@ def make_gpu_ctx(env, node, gpu_index, model="yolo-det", workflow_id="wf-0",
         get_spec(model),
         node,
         gpu=node.gpu(gpu_index),
-        gpu_resource=Resource(env),
     )
     return FnContext(
         instance, workflow_id, request_id, slo_deadline=slo_deadline

@@ -108,15 +108,12 @@ class TestFunctionInstance:
                 get_spec("video-decode"),
                 node,
                 gpu=node.gpu(0),
-                gpu_resource=Resource(env),
             )
 
     def test_execute_takes_profiled_latency(self, env, node):
         spec = get_spec("yolo-det")
-        instance = FunctionInstance(
-            env, spec, node, gpu=node.gpu(0), gpu_resource=Resource(env)
-        )
-        proc = instance.execute(batch=8)
+        instance = FunctionInstance(env, spec, node, gpu=node.gpu(0))
+        proc = instance.execute_held(batch=8)
         env.run()
         record = proc.value
         assert record.duration == pytest.approx(spec.execution_latency(batch=8))
@@ -124,22 +121,30 @@ class TestFunctionInstance:
     def test_gpu_time_multiplexing(self, env, node):
         spec = get_spec("person-rec")
         shared = Resource(env, capacity=1)
-        a = FunctionInstance(env, spec, node, gpu=node.gpu(0), gpu_resource=shared)
-        b = FunctionInstance(env, spec, node, gpu=node.gpu(0), gpu_resource=shared)
-        pa = a.execute(batch=1)
-        pb = b.execute(batch=1)
+        a = FunctionInstance(env, spec, node, gpu=node.gpu(0))
+        b = FunctionInstance(env, spec, node, gpu=node.gpu(0))
+        records = []
+
+        def invoke(instance):
+            # Hold the GPU slot around the invocation, as the platform does.
+            slot = shared.request()
+            yield slot
+            records.append((yield instance.execute_held(batch=1)))
+            shared.release(slot)
+
+        env.process(invoke(a))
+        env.process(invoke(b))
         env.run()
         # Same GPU: the second invocation queues behind the first.
-        assert pb.value.started_at >= pa.value.finished_at
-        assert pb.value.queued_for > 0
+        first, second = records
+        assert second.started_at >= first.finished_at > first.started_at
 
     def test_speed_factor(self, env, node):
         spec = get_spec("unet-seg")
         fast = FunctionInstance(
-            env, spec, node, gpu=node.gpu(0), gpu_resource=Resource(env),
-            speed_factor=2.0,
+            env, spec, node, gpu=node.gpu(0), speed_factor=2.0
         )
-        proc = fast.execute(batch=1)
+        proc = fast.execute_held(batch=1)
         env.run()
         assert proc.value.duration == pytest.approx(
             spec.execution_latency(batch=1) / 2.0
@@ -152,8 +157,7 @@ class TestFunctionInstance:
 
     def test_fn_context_properties(self, env, node):
         instance = FunctionInstance(
-            env, get_spec("yolo-det"), node, gpu=node.gpu(2),
-            gpu_resource=Resource(env),
+            env, get_spec("yolo-det"), node, gpu=node.gpu(2)
         )
         ctx = FnContext(instance, workflow_id="wf-1", request_id="req-9")
         assert ctx.function_name == "yolo-det"

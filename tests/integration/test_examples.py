@@ -9,7 +9,7 @@ EXAMPLES = Path(__file__).resolve().parents[2] / "examples"
 # bars under infless+, compute-dominated bars under GROUTER.
 REQUEST_ANATOMY = """\
 === infless+ ===
-request req-0: 105.08 ms (. queue, < get, c cold, # exec, > put)
+request req-0: 105.08 ms (. queue, < get, c cold, # exec, > put, e egress)
 gpu-denoise[get]     |<<<<<<<<<                                                   |
 gpu-denoise[exec]    |        ###                                                 |
 gpu-denoise[put]     |            >>>>>>>>>                                       |
@@ -23,7 +23,7 @@ gpu-colorize[egress] |                                                          
 req-0: get=36.48ms, exec=32.10ms, put=36.47ms, egress=0.03ms
 
 === grouter ===
-request req-0: 45.69 ms (. queue, < get, c cold, # exec, > put)
+request req-0: 45.69 ms (. queue, < get, c cold, # exec, > put, e egress)
 gpu-denoise[get]     |<<<<<<<                                                     |
 gpu-denoise[exec]    |       ########                                             |
 gpu-denoise[put]     |               >                                            |

@@ -11,7 +11,7 @@ from repro.common.units import GB, MB
 from repro.dataplane import GRouterPlane, make_plane
 from repro.functions import FnContext, FunctionInstance, get_spec
 from repro.platform import ServerlessPlatform
-from repro.sim import Environment, Resource
+from repro.sim import Environment
 from repro.topology import make_cluster
 from repro.workflow import get_workload
 
@@ -29,7 +29,6 @@ def cluster():
 def gpu_ctx(env, node, index, model="yolo-det", workflow_id="wf-0"):
     instance = FunctionInstance(
         env, get_spec(model), node, gpu=node.gpu(index),
-        gpu_resource=Resource(env),
     )
     return FnContext(instance, workflow_id, "req-0")
 

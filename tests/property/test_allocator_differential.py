@@ -390,7 +390,8 @@ def _lone_flow_case(draw):
 def test_lone_flow_closed_form_matches_general_fill(policy, case):
     """The one-flow closed form reproduces the two-phase fill's floats."""
     caps, min_rate, rate_cap, size, remaining, slo_deadline, override = case
-    env = Environment(initial_time=_NOW)
+    env = Environment()
+    env.run(until=_NOW)
     closed = FlowNetwork(env, policy=policy, allocator="incremental")
     general = FlowNetwork(env, policy=policy, allocator="fullscan")
     path = [

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.common.errors import SimulationError
-from repro.sim import Environment, Interrupt
+from repro.sim import Environment
 
 
 @pytest.fixture
@@ -15,20 +15,14 @@ class TestClock:
     def test_starts_at_zero(self, env):
         assert env.now == 0.0
 
-    def test_initial_time(self):
-        assert Environment(initial_time=5.0).now == 5.0
-
     def test_run_until_advances_clock_past_empty_queue(self, env):
         env.run(until=10.0)
         assert env.now == 10.0
 
-    def test_run_until_in_past_raises(self):
-        env = Environment(initial_time=5.0)
+    def test_run_until_in_past_raises(self, env):
+        env.run(until=5.0)
         with pytest.raises(SimulationError):
             env.run(until=1.0)
-
-    def test_peek_empty_is_inf(self, env):
-        assert env.peek() == float("inf")
 
     def test_step_empty_raises(self, env):
         with pytest.raises(SimulationError):
@@ -161,17 +155,6 @@ class TestCombinators:
         env.run()
         assert done == [5.0]
 
-    def test_any_of_fires_on_first(self, env):
-        done = []
-
-        def proc():
-            yield env.any_of([env.timeout(4.0), env.timeout(2.0)])
-            done.append(env.now)
-
-        env.process(proc())
-        env.run()
-        assert done == [2.0]
-
     def test_all_of_empty_is_immediate(self, env):
         done = []
 
@@ -227,43 +210,6 @@ class TestProcess:
         env.process(outer())
         env.run()
         assert caught == [1.0]
-
-    def test_interrupt_wakes_process_immediately(self, env):
-        log = []
-
-        def sleeper():
-            try:
-                yield env.timeout(100.0)
-            except Interrupt as intr:
-                log.append((env.now, intr.cause))
-
-        proc = env.process(sleeper())
-
-        def interrupter():
-            yield env.timeout(2.0)
-            proc.interrupt("wake up")
-
-        env.process(interrupter())
-        env.run()
-        assert log == [(2.0, "wake up")]
-
-    def test_interrupt_finished_process_raises(self, env):
-        def quick():
-            yield env.timeout(1.0)
-
-        proc = env.process(quick())
-        env.run()
-        with pytest.raises(SimulationError):
-            proc.interrupt()
-
-    def test_is_alive_transitions(self, env):
-        def quick():
-            yield env.timeout(1.0)
-
-        proc = env.process(quick())
-        assert proc.is_alive
-        env.run()
-        assert not proc.is_alive
 
     def test_yield_non_event_raises_into_process(self, env):
         caught = []

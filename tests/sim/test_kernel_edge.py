@@ -1,9 +1,9 @@
-"""Edge-case tests for kernel semantics under failure and interruption."""
+"""Edge-case tests for kernel semantics under failure and partial runs."""
 
 import pytest
 
 from repro.common.errors import SimulationError
-from repro.sim import Environment, Interrupt, Resource
+from repro.sim import Environment
 
 
 @pytest.fixture
@@ -12,22 +12,6 @@ def env():
 
 
 class TestFailurePropagation:
-    def test_any_of_failure_propagates(self, env):
-        good = env.timeout(5.0)
-        bad = env.event()
-        caught = []
-
-        def proc():
-            try:
-                yield env.any_of([good, bad])
-            except ValueError:
-                caught.append(env.now)
-
-        env.process(proc())
-        env.schedule(1.0, lambda: bad.fail(ValueError("x")))
-        env.run()
-        assert caught == [1.0]
-
     def test_all_of_failure_propagates(self, env):
         good = env.timeout(5.0)
         bad = env.event()
@@ -73,67 +57,6 @@ class TestFailurePropagation:
         assert caught == ["deep"]
 
 
-class TestInterruptSemantics:
-    def test_interrupt_while_waiting_on_resource(self, env):
-        resource = Resource(env, capacity=1)
-        outcomes = []
-
-        def holder():
-            req = resource.request()
-            yield req
-            yield env.timeout(10.0)
-            resource.release(req)
-
-        def waiter():
-            req = resource.request()
-            try:
-                yield req
-                outcomes.append("granted")
-                resource.release(req)
-            except Interrupt:
-                resource.cancel(req)
-                outcomes.append("interrupted")
-
-        env.process(holder())
-        waiting = env.process(waiter())
-        env.schedule(1.0, lambda: waiting.interrupt("give up"))
-        env.run()
-        assert outcomes == ["interrupted"]
-        # The cancelled request must never consume the freed slot.
-        assert resource.count == 0
-        assert resource.queue_len == 0
-
-    def test_interrupted_process_can_continue(self, env):
-        log = []
-
-        def proc():
-            try:
-                yield env.timeout(100.0)
-            except Interrupt:
-                log.append(("intr", env.now))
-            yield env.timeout(1.0)
-            log.append(("done", env.now))
-
-        p = env.process(proc())
-        env.schedule(3.0, lambda: p.interrupt())
-        env.run()
-        assert log == [("intr", 3.0), ("done", 4.0)]
-
-    def test_interrupt_cause_carried(self, env):
-        causes = []
-
-        def proc():
-            try:
-                yield env.timeout(10.0)
-            except Interrupt as intr:
-                causes.append(intr.cause)
-
-        p = env.process(proc())
-        env.schedule(1.0, lambda: p.interrupt({"reason": "preempted"}))
-        env.run()
-        assert causes == [{"reason": "preempted"}]
-
-
 class TestClockBoundaries:
     def test_run_until_exact_event_time_fires_it(self, env):
         fired = []
@@ -160,11 +83,3 @@ class TestClockBoundaries:
         assert order == ["a"]
         env.run()
         assert order == ["a", "b"]
-
-    def test_peek_reflects_next_event(self, env):
-        def proc():
-            yield env.timeout(7.0)
-
-        env.process(proc())
-        env.run(until=1.0)
-        assert env.peek() == pytest.approx(7.0)

@@ -1,9 +1,9 @@
-"""Tests for Resource, Store, and Container."""
+"""Tests for Resource and Container."""
 
 import pytest
 
 from repro.common.errors import SimulationError
-from repro.sim import Container, Environment, Resource, Store
+from repro.sim import Container, Environment, Resource
 
 
 @pytest.fixture
@@ -45,9 +45,9 @@ class TestResource:
         env.run()
         assert starts == [0.0, 0.0, 4.0]
 
-    def test_priority_order(self, env):
+    def test_waiters_granted_in_arrival_order(self, env):
         resource = Resource(env, capacity=1)
-        order = []
+        grants = []
 
         def holder():
             req = resource.request()
@@ -55,19 +55,21 @@ class TestResource:
             yield env.timeout(1.0)
             resource.release(req)
 
-        def user(tag, priority):
+        def waiter(tag, arrive):
             # Arrive while the holder owns the slot.
-            yield env.timeout(0.5)
-            req = resource.request(priority=priority)
+            yield env.timeout(arrive)
+            req = resource.request()
             yield req
-            order.append(tag)
+            grants.append((tag, env.now))
+            yield env.timeout(0.5)
             resource.release(req)
 
         env.process(holder())
-        env.process(user("low", priority=5.0))
-        env.process(user("high", priority=1.0))
+        # b and c arrive at the same instant; b was scheduled first.
+        for tag, arrive in (("b", 0.5), ("c", 0.5), ("d", 0.75), ("e", 0.25)):
+            env.process(waiter(tag, arrive))
         env.run()
-        assert order == ["high", "low"]
+        assert grants == [("e", 1.0), ("b", 1.5), ("c", 2.0), ("d", 2.5)]
 
     def test_invalid_capacity(self, env):
         with pytest.raises(SimulationError):
@@ -78,83 +80,6 @@ class TestResource:
         req = r1.request()
         with pytest.raises(SimulationError):
             r2.release(req)
-
-    def test_cancel_queued_request(self, env):
-        resource = Resource(env, capacity=1)
-        held = resource.request()
-        assert held.triggered
-        queued = resource.request()
-        assert not queued.triggered
-        resource.cancel(queued)
-        resource.release(held)
-        env.run()
-        # The cancelled request must never be granted.
-        assert not queued.triggered
-        assert resource.count == 0
-
-    def test_count_and_queue_len(self, env):
-        resource = Resource(env, capacity=1)
-        first = resource.request()
-        resource.request()
-        assert resource.count == 1
-        assert resource.queue_len == 1
-        resource.release(first)
-        assert resource.count == 1  # queued request was granted
-        assert resource.queue_len == 0
-
-
-class TestStore:
-    def test_put_then_get(self, env):
-        store = Store(env)
-        store.put("item")
-        got = []
-
-        def getter():
-            value = yield store.get()
-            got.append(value)
-
-        env.process(getter())
-        env.run()
-        assert got == ["item"]
-
-    def test_get_blocks_until_put(self, env):
-        store = Store(env)
-        got = []
-
-        def getter():
-            value = yield store.get()
-            got.append((env.now, value))
-
-        def putter():
-            yield env.timeout(2.0)
-            store.put("late")
-
-        env.process(getter())
-        env.process(putter())
-        env.run()
-        assert got == [(2.0, "late")]
-
-    def test_fifo_order(self, env):
-        store = Store(env)
-        for item in ("a", "b", "c"):
-            store.put(item)
-        got = []
-
-        def getter():
-            for _ in range(3):
-                value = yield store.get()
-                got.append(value)
-
-        env.process(getter())
-        env.run()
-        assert got == ["a", "b", "c"]
-
-    def test_peek_items_is_copy(self, env):
-        store = Store(env)
-        store.put("x")
-        snapshot = store.peek_items()
-        snapshot.append("y")
-        assert len(store) == 1
 
 
 class TestContainer:

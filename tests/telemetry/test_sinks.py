@@ -203,14 +203,11 @@ class TestBuffering:
         sink = JsonlEventSink(path, flush_events=3)
         for i in range(2):
             sink.handle(0, make_alloc(float(i)))
-        assert sink.backlog == 2
         assert sink.flushes == 0
-        assert sink.busy_s == 0.0
+        assert sink.records_written == 0
         sink.handle(0, make_alloc(2.0))
-        assert sink.backlog == 0
         assert sink.flushes == 1
         assert sink.records_written == 3
-        assert sink.busy_s > 0.0
         sink.close()
         # One header line plus one line per batch; the byte count
         # includes the header.
@@ -347,11 +344,12 @@ class TestChromeStreaming:
 
 class TestSessionStreaming:
     def test_streaming_session_drops_in_memory_events(self, tmp_path):
-        sink = JsonlEventSink(tmp_path / "e.jsonl")
-        with capture(sinks=[sink]) as session:
+        path = tmp_path / "e.jsonl"
+        with capture(sinks=[JsonlEventSink(path)]) as session:
             run_workflow()
         assert session.events == []
-        assert session.events_seen == sink.events_handled > 0
+        spooled = list(iter_jsonl_events(path))
+        assert session.events_seen == len(spooled) > 0
 
     def test_streaming_session_refuses_batch_export(self, tmp_path):
         with capture(sinks=[JsonlEventSink(tmp_path / "e.jsonl")]) as s:
@@ -370,12 +368,14 @@ class TestSessionStreaming:
         assert list(iter_jsonl_events(path))  # fully flushed
 
     def test_caller_owned_session_is_flushed_not_closed(self, tmp_path):
-        sink = JsonlEventSink(tmp_path / "e.jsonl")
+        path = tmp_path / "e.jsonl"
+        sink = JsonlEventSink(path)
         session = TelemetrySession(sinks=[sink])
         with capture(session=session):
             run_workflow()
         assert not sink.closed
-        assert sink.backlog == 0
+        # Flushed: every event is already on disk while the sink is open.
+        assert session.events_seen == len(list(iter_jsonl_events(path))) > 0
         session.close()
 
     def test_session_and_sink_kwargs_are_exclusive(self, tmp_path):
