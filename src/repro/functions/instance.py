@@ -59,13 +59,7 @@ class FunctionInstance:
         self.alias = alias if alias is not None else spec.name
         self.instance_id = f"{self.alias}#{next(FunctionInstance._ids)}"
         self.speed_factor = speed_factor
-        # Per-invocation timing history, used by dispatch-balance
-        # assertions and experiment accounting.  Streaming runs set
-        # keep_executions=False so a replica's memory stays flat in
-        # invocation count; execution_count stays exact either way.
-        self.executions: list[ExecutionRecord] = []
-        self.keep_executions = True
-        self.execution_count = 0
+        self.execution_count = 0  # completed invocations
         self.outstanding = 0  # invocations dispatched here, not yet done
 
     @property
@@ -114,11 +108,8 @@ class FunctionInstance:
     def _execute_held(self, batch: int, input_bytes: float):
         started = self.env.now
         yield self.env.timeout(self.execution_latency(batch, input_bytes))
-        record = ExecutionRecord(started_at=started, finished_at=self.env.now)
         self.execution_count += 1
-        if self.keep_executions:
-            self.executions.append(record)
-        return record
+        return ExecutionRecord(started_at=started, finished_at=self.env.now)
 
     def __repr__(self) -> str:
         return f"<FunctionInstance {self.instance_id} on {self.device_id}>"

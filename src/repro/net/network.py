@@ -33,13 +33,16 @@ connected).  Two allocators exploit this, with identical semantics:
     exactly unchanged keeps its pending timer (reschedule elision).
     A flow alone on every link of its path skips the BFS, and its rate
     comes from a closed form that replays the fill's float steps
-    (:meth:`FlowNetwork._lone_flow_rate`).
+    (:meth:`FlowNetwork._lone_flow_rate`); a two-flow component takes
+    the pair fill, which replays them for two flows
+    (:meth:`FlowNetwork._pair_rates`).
 ``fullscan``
     Components are re-derived from scratch on every event by a
     union-find sweep over all flows.  The differential-testing
     reference: its rates, event orderings, and finish times must be
     bit-identical to ``incremental``.  It always runs the general
-    two-phase fill, so it also checks the one-flow closed form.
+    two-phase fill, so it also checks the one-flow closed form and the
+    pair fill.
 
 Quiescent chunk-batch loops can additionally be coalesced into one
 *macro-flow* (:meth:`FlowNetwork.start_macro_flow`) that replays the
@@ -1117,17 +1120,20 @@ class FlowNetwork:
         component actually crosses.  *now* overrides the SLO-slack
         reference instant — macro-flow schedule replay asks for rates
         at virtual future batch starts.  Under ``incremental`` a lone
-        flow that crosses no link twice takes the closed form.
+        flow that crosses no link twice takes the closed form, and a
+        pair of such flows the pair fill.
         """
         if not flows:
             return {}
-        if (
-            self._closed_form
-            and len(flows) == 1
-            and len(links) == len(flows[0].path)
-        ):
-            flow = flows[0]
-            return {flow: self._lone_flow_rate(flow, now)}
+        if self._closed_form:
+            if len(flows) == 1 and len(links) == len(flows[0].path):
+                flow = flows[0]
+                return {flow: self._lone_flow_rate(flow, now)}
+            if len(flows) == 2:
+                first, second = flows
+                pair = self._pair_rates(first, second, now)
+                if pair is not None:
+                    return {first: pair[0], second: pair[1]}
         rates: dict[Flow, float] = {}
         residual: dict[str, float] = {
             lid: state.link.capacity for lid, state in links.items()
@@ -1178,12 +1184,9 @@ class FlowNetwork:
         if self.policy == "slo_gated" and deadline is not None:
             if now is None:
                 now = self.env.now
-            if deadline > now and head > _EPS:
-                slack = (deadline - now) * self._SLO_SLACK_TARGET
-                target_rate = flow.remaining / max(slack, _EPS)
-                want = min(target_rate, flow.rate_cap) - rate
-                if want > _EPS:
-                    grant = min(want, head)
+            if deadline > now:
+                grant = self._slo_grant(flow, rate, head, now)
+                if grant:
                     rate += grant
                     head -= grant
         if rate < flow.rate_cap - _EPS:
@@ -1194,6 +1197,141 @@ class FlowNetwork:
             if delta > _EPS:
                 rate += delta
         return rate
+
+    def _pair_rates(
+        self, first: Flow, second: Flow, now: Optional[float] = None
+    ) -> Optional[tuple[float, float]]:
+        """The general fill's rates for a two-flow component, bit for bit.
+
+        Returns ``None`` when a path crosses a link twice, and the
+        general fill runs instead.  Otherwise every link is private to
+        one flow or shared by both, and all links of one group lose the
+        same amounts in the same order.  As in :meth:`_lone_flow_rate`,
+        each group's smallest residual is then its smallest capacity
+        minus those amounts: ``own1``/``own2`` for each flow's private
+        links and ``shared`` for the rest (an empty group is ``inf``,
+        which no finite grant changes).  The steps are the fill's:
+        phase-1 grants in arrival order; the slo_gated top-up in
+        ``(slo_deadline, arrival_order, flow_id)`` order; then max-min
+        passes, each taking ``delta`` as the smallest residual per
+        crossing flow capped by every unfrozen flow's ``rate_cap -
+        rate``, adding it flow by flow, and only then freezing flows.
+        """
+        path1 = first.path
+        path2 = second.path
+        ids1 = {link.link_id for link in path1}
+        ids2 = {link.link_id for link in path2}
+        if len(ids1) != len(path1) or len(ids2) != len(path2):
+            return None
+        own1 = own2 = shared = float("inf")
+        for link in path1:
+            if link.link_id in ids2:
+                if link.capacity < shared:
+                    shared = link.capacity
+            elif link.capacity < own1:
+                own1 = link.capacity
+        for link in path2:
+            if link.link_id not in ids1 and link.capacity < own2:
+                own2 = link.capacity
+        rate1 = rate2 = 0.0
+        if first.min_rate > 0:
+            head = own1 if own1 < shared else shared
+            rate1 = max(0.0, min(first.min_rate, first.rate_cap, head))
+            own1 -= rate1
+            shared -= rate1
+        if second.min_rate > 0:
+            head = own2 if own2 < shared else shared
+            rate2 = max(0.0, min(second.min_rate, second.rate_cap, head))
+            own2 -= rate2
+            shared -= rate2
+        if self.policy == "slo_gated":
+            if now is None:
+                now = self.env.now
+            due1 = first.slo_deadline is not None and first.slo_deadline > now
+            due2 = (
+                second.slo_deadline is not None and second.slo_deadline > now
+            )
+            if due1 and due2 and (
+                (second.slo_deadline, second.arrival_order, second.flow_id)
+                < (first.slo_deadline, first.arrival_order, first.flow_id)
+            ):
+                head = own2 if own2 < shared else shared
+                grant = self._slo_grant(second, rate2, head, now)
+                if grant:
+                    rate2 += grant
+                    own2 -= grant
+                    shared -= grant
+                due2 = False
+            if due1:
+                head = own1 if own1 < shared else shared
+                grant = self._slo_grant(first, rate1, head, now)
+                if grant:
+                    rate1 += grant
+                    own1 -= grant
+                    shared -= grant
+            if due2:
+                head = own2 if own2 < shared else shared
+                grant = self._slo_grant(second, rate2, head, now)
+                if grant:
+                    rate2 += grant
+                    own2 -= grant
+                    shared -= grant
+        cap1 = first.rate_cap
+        cap2 = second.rate_cap
+        live1 = rate1 < cap1 - _EPS
+        live2 = rate2 < cap2 - _EPS
+        while live1 or live2:
+            if live1 and live2:
+                delta = min(own1, own2, shared / 2)
+            elif live1:
+                delta = own1 if own1 < shared else shared
+            else:
+                delta = own2 if own2 < shared else shared
+            if live1 and cap1 - rate1 < delta:
+                delta = cap1 - rate1
+            if live2 and cap2 - rate2 < delta:
+                delta = cap2 - rate2
+            if delta > _EPS:
+                if live1:
+                    rate1 += delta
+                    own1 -= delta
+                    shared -= delta
+                if live2:
+                    rate2 += delta
+                    own2 -= delta
+                    shared -= delta
+            keep1 = (
+                live1
+                and rate1 < cap1 - _EPS
+                and (own1 if own1 < shared else shared) > _EPS
+            )
+            keep2 = (
+                live2
+                and rate2 < cap2 - _EPS
+                and (own2 if own2 < shared else shared) > _EPS
+            )
+            if keep1 == live1 and keep2 == live2:
+                break
+            live1 = keep1
+            live2 = keep2
+        return rate1, rate2
+
+    def _slo_grant(
+        self, flow: Flow, rate: float, head: float, now: float
+    ) -> float:
+        """The slo_gated top-up for *flow* at *rate*, or 0.0 if none.
+
+        *head* is the smallest residual on the flow's path.  A grant of
+        at most ``_EPS`` is no grant, which also skips a flow crossing a
+        saturated link.
+        """
+        slack = (flow.slo_deadline - now) * self._SLO_SLACK_TARGET
+        target_rate = flow.remaining / max(slack, _EPS)
+        want = min(target_rate, flow.rate_cap) - rate
+        if want <= _EPS:
+            return 0.0
+        grant = min(want, head)
+        return grant if grant > _EPS else 0.0
 
     def _fill_slo_gated(
         self,

@@ -11,6 +11,33 @@ Multi-path transfers split the payload proportionally to each path's
 nominal bandwidth (dynamic chunk sizing, §4.3.3) so all paths finish
 together.
 
+Callbacks, not processes
+------------------------
+The engine runs no generator.  Each :meth:`TransferEngine.transfer`
+call is a ``_Transfer`` that splits the payload and joins its paths,
+and each path is a ``_PathCursor`` that walks the batch loop.  The
+exactness rule: every step is a callback on the heap entry that a
+process per transfer and per path would wait on, armed at the point
+where that process would suspend.
+
+* Starting the transfer, and starting each of its paths, is one
+  ``env.schedule(0.0, ...)`` each.
+* The pipeline-fill and batch-setup delays are ``env.schedule(delay,
+  ...)``; resuming a split macro-flow at its virtual batch start is
+  ``env.schedule_at(...)``.
+* A pinned-ring grant and each flow's (or macro-flow's) ``done``
+  event get the continuation appended to their callbacks.
+* A path's end, the join of the paths and the transfer's ``done``
+  event are one zero-delay entry each.
+
+So the heap receives the same entries in the same ``(time, seq)``
+order, every step does the same work, and no simulated result depends
+on how the engine is written.  Folding a continuation into the step
+that triggers it (arming the next batch's setup timer from the flow's
+completion, say) posts its entries at other sequence numbers and so
+reorders same-instant ties; exactness would then rest on every such
+tie being harmless.
+
 Steady-state coalescing (``coalesced`` mode, the default)
 ---------------------------------------------------------
 The batch granularity exists so new functions can preempt bandwidth at
@@ -41,7 +68,7 @@ from repro.common.errors import SimulationError
 from repro.common.units import MB, US
 from repro.net.links import Link
 from repro.net.network import Flow, FlowNetwork
-from repro.sim.core import Environment, Event, Process
+from repro.sim.core import Environment, Event
 from repro.sim.resources import Container
 from repro.telemetry.events import TransferFinished, TransferStarted
 
@@ -155,6 +182,13 @@ class _PinnedHold:
 class TransferEngine:
     """Executes (possibly multi-path, chunk-batched) transfers.
 
+    A transfer runs as callbacks, not processes: one :class:`_Transfer`
+    per :meth:`transfer` call and one :class:`_PathCursor` per path.
+    Each arms its next step on the heap entry that a process per
+    transfer and per path would wait on, at the point where that
+    process would suspend, so the heap sees the same entries in the
+    same order (the exactness rule in the module docstring).
+
     Parameters
     ----------
     env, network:
@@ -207,30 +241,32 @@ class TransferEngine:
         pinned_buffer: Optional[Container] = None,
         tag: str = "",
         owner: str = "",
-    ) -> Process:
-        """Move *size* bytes over *paths*; returns the completion process.
+    ) -> Event:
+        """Move *size* bytes over *paths*; returns the completion event.
 
-        The process's value is a :class:`TransferResult`.  With
-        ``chunked=False`` the whole payload is a single flow per path
-        (how NCCL/NVSHMEM point-to-point transfers behave); with
+        The event's value is a :class:`TransferResult`; it fails with
+        the error of the first path that fails (a cancelled flow, say).
+        With ``chunked=False`` the whole payload is a single flow per
+        path (how NCCL/NVSHMEM point-to-point transfers behave); with
         ``chunked=True`` GROUTER's batch pipeline is used.
         """
         if size <= 0:
             raise SimulationError(f"transfer size must be positive, got {size}")
         if not paths:
             raise SimulationError("transfer needs at least one path")
-        return self.env.process(
-            self._run(
-                tuple(paths),
-                float(size),
-                min_rate,
-                slo_deadline,
-                chunked,
-                pinned_buffer,
-                tag,
-                owner,
-            )
+        transfer = _Transfer(
+            self,
+            tuple(paths),
+            float(size),
+            min_rate,
+            slo_deadline,
+            chunked,
+            pinned_buffer,
+            tag,
+            owner,
         )
+        self.env.schedule(0.0, transfer.start)
+        return transfer.done
 
     def split_sizes(self, paths: Sequence[Path], size: float) -> list[float]:
         """Split *size* across *paths* proportionally to bandwidth."""
@@ -245,206 +281,6 @@ class TransferEngine:
         # Fix rounding drift so the shares sum exactly to size.
         shares[-1] += size - sum(shares)
         return shares
-
-    # -- internals ------------------------------------------------------------
-    def _run(
-        self,
-        paths: tuple[Path, ...],
-        size: float,
-        min_rate: float,
-        slo_deadline: Optional[float],
-        chunked: bool,
-        pinned_buffer: Optional[Container],
-        tag: str,
-        owner: str,
-    ):
-        started = self.env.now
-        bus = self.env.telemetry
-        transfer_id = -1
-        if bus is not None:
-            transfer_id = next(TransferEngine._ids)
-            bus.publish(TransferStarted(
-                t=started,
-                transfer_id=transfer_id,
-                tag=tag,
-                size=size,
-                src=paths[0].src,
-                dst=paths[0].dst,
-                num_paths=len(paths),
-                owner=owner,
-            ))
-        shares = self.split_sizes(paths, size)
-        workers = []
-        for path, share in zip(paths, shares):
-            if share <= 0:
-                continue
-            path_min_rate = min_rate * share / size
-            workers.append(
-                self.env.process(
-                    self._run_path(
-                        path,
-                        share,
-                        path_min_rate,
-                        slo_deadline,
-                        chunked,
-                        pinned_buffer,
-                        tag,
-                        owner,
-                    )
-                )
-            )
-        yield self.env.all_of(workers)
-        if bus is not None:
-            bus.publish(TransferFinished(
-                t=self.env.now,
-                transfer_id=transfer_id,
-                tag=tag,
-                size=size,
-                src=paths[0].src,
-                dst=paths[0].dst,
-                started_at=started,
-                owner=owner,
-            ))
-        return TransferResult(
-            size=size,
-            started_at=started,
-            finished_at=self.env.now,
-            paths=paths,
-            per_path_bytes=tuple(shares),
-        )
-
-    def _run_path(
-        self,
-        path: Path,
-        size: float,
-        min_rate: float,
-        slo_deadline: Optional[float],
-        chunked: bool,
-        pinned_buffer: Optional[Container],
-        tag: str,
-        owner: str,
-    ):
-        # Pipeline-fill latency: the first chunk must traverse every hop
-        # before the stream reaches steady state, plus propagation.
-        fill_latency = path.propagation_latency
-        if chunked and path.hops > 1:
-            first_chunk = min(self.chunk_size, size)
-            fill_latency += (path.hops - 1) * (
-                first_chunk / path.nominal_bandwidth
-            )
-        if fill_latency > 0:
-            yield self.env.timeout(fill_latency)
-
-        if not chunked:
-            yield from self._send_block(
-                path, size, min_rate, slo_deadline, pinned_buffer, tag, owner
-            )
-            return
-
-        batch_bytes = self.chunk_size * self.batch_chunks
-        remaining = size
-        while remaining > 0:
-            if (
-                self.mode == "coalesced"
-                and remaining > batch_bytes
-                and self.network.macro_eligible(path.links)
-            ):
-                outcome = yield from self._run_macro(
-                    path,
-                    remaining,
-                    batch_bytes,
-                    min_rate,
-                    slo_deadline,
-                    pinned_buffer,
-                    tag,
-                    owner,
-                )
-                if outcome is not None:
-                    if outcome.kind == "completed":
-                        return
-                    if outcome.kind == "setup":
-                        # The split landed between batches; the setup
-                        # delay was already spent virtually, so send the
-                        # boundary batch without repeating it.
-                        yield self.env.timeout_until(outcome.resume_at)
-                        yield from self._send_block(
-                            path,
-                            outcome.block,
-                            min_rate,
-                            slo_deadline,
-                            pinned_buffer,
-                            tag,
-                            owner,
-                        )
-                    # converted/truncated: done already fired at the
-                    # boundary batch's completion.  Either way the loop
-                    # re-enters below it — and may re-coalesce once the
-                    # disturbance has passed.
-                    remaining = outcome.rem_before - outcome.block
-                    continue
-            block = min(batch_bytes, remaining)
-            if self.batch_setup > 0:
-                yield self.env.timeout(self.batch_setup)
-            yield from self._send_block(
-                path, block, min_rate, slo_deadline, pinned_buffer, tag, owner
-            )
-            remaining -= block
-
-    def _run_macro(
-        self,
-        path: Path,
-        remaining: float,
-        batch_bytes: float,
-        min_rate: float,
-        slo_deadline: Optional[float],
-        pinned_buffer: Optional[Container],
-        tag: str,
-        owner: str,
-    ):
-        """Attempt one macro-flow for the remaining batch loop.
-
-        Returns the :class:`~repro.net.network.MacroOutcome` on
-        success, or ``None`` when coalescing is ineligible (the caller
-        falls back to a single per-batch iteration).
-        """
-        grab = 0.0
-        hold: Optional[_PinnedHold] = None
-        if pinned_buffer is not None:
-            # Eligibility requires the whole steady-state claim (one
-            # full batch, what the eager loop holds at any instant) to
-            # be grabbable without queueing behind anyone.
-            grab = min(batch_bytes, pinned_buffer.capacity)
-            if pinned_buffer.queue_len > 0 or pinned_buffer.level < grab:
-                return None
-            hold = _PinnedHold(pinned_buffer)
-        flow = self.network.start_macro_flow(
-            path.links,
-            remaining,
-            batch_bytes,
-            self.batch_setup,
-            min_rate=min_rate,
-            slo_deadline=slo_deadline,
-            tag=tag,
-            owner=owner,
-            pinned_hold=grab,
-            pinned_refund=hold.refund if hold is not None else None,
-        )
-        if flow is None:
-            return None
-        if pinned_buffer is not None:
-            got = pinned_buffer.get(grab)  # instant: level checked above
-            hold.amount = grab
-            self._register_macro_hold(pinned_buffer, flow, hold)
-            yield got
-        try:
-            yield flow.done
-        finally:
-            if pinned_buffer is not None:
-                self._unregister_macro_hold(pinned_buffer, flow)
-                if hold.amount > 0:
-                    pinned_buffer.put(hold.amount)
-                    hold.amount = 0.0
-        return flow.macro_outcome
 
     # -- pinned-pool contention hook --------------------------------------
     def _register_macro_hold(
@@ -473,34 +309,364 @@ class TransferEngine:
         for flow, _hold in list(self._macro_holds.get(id(container), ())):
             self.network.split_macro_for_pinned(flow)
 
-    def _send_block(
+
+class _Transfer:
+    """One :meth:`TransferEngine.transfer` call: split, start paths, join.
+
+    ``start`` runs at the transfer's bootstrap entry; ``path_ended``
+    at each path's end entry; ``join`` at the one entry posted by the
+    first failing path or the last finishing one, and it settles
+    ``done``.
+    """
+
+    __slots__ = (
+        "engine",
+        "paths",
+        "size",
+        "min_rate",
+        "slo_deadline",
+        "chunked",
+        "pinned",
+        "tag",
+        "owner",
+        "done",
+        "bus",
+        "started",
+        "transfer_id",
+        "shares",
+        "pending",
+        "error",
+    )
+
+    def __init__(
         self,
-        path: Path,
+        engine: TransferEngine,
+        paths: tuple[Path, ...],
         size: float,
         min_rate: float,
         slo_deadline: Optional[float],
-        pinned_buffer: Optional[Container],
+        chunked: bool,
+        pinned: Optional[Container],
         tag: str,
         owner: str,
-    ):
-        if pinned_buffer is not None:
-            grab = min(size, pinned_buffer.capacity)
-            yield pinned_buffer.get(grab)
-        else:
-            grab = 0.0
+    ) -> None:
+        self.engine = engine
+        self.paths = paths
+        self.size = size
+        self.min_rate = min_rate
+        self.slo_deadline = slo_deadline
+        self.chunked = chunked
+        self.pinned = pinned
+        self.tag = tag
+        self.owner = owner
+        self.done = Event(engine.env)
+        self.bus = None
+        self.started = 0.0
+        self.transfer_id = -1
+        self.shares: tuple[float, ...] = ()
+        # Paths still running; 0 once joined.
+        self.pending = 0
+        self.error: Optional[BaseException] = None
+
+    def start(self) -> None:
+        env = self.engine.env
+        self.started = env.now
+        # The bus is read once: a transfer publishes both of its events
+        # to the bus it started on.
+        bus = self.bus = env.telemetry
+        if bus is not None:
+            self.transfer_id = next(TransferEngine._ids)
+            bus.publish(TransferStarted(
+                t=self.started,
+                transfer_id=self.transfer_id,
+                tag=self.tag,
+                size=self.size,
+                src=self.paths[0].src,
+                dst=self.paths[0].dst,
+                num_paths=len(self.paths),
+                owner=self.owner,
+            ))
         try:
-            flow = self.network.start_flow(
-                path.links,
-                size,
-                min_rate=min_rate,
-                slo_deadline=slo_deadline,
-                tag=tag,
-                owner=owner,
+            shares = self.engine.split_sizes(self.paths, self.size)
+        except Exception as error:
+            self.done.fail(error)
+            return
+        self.shares = tuple(shares)
+        for path, share in zip(self.paths, shares):
+            if share <= 0:
+                continue
+            cursor = _PathCursor(
+                self, path, share, self.min_rate * share / self.size
             )
-            yield flow.done
-        finally:
-            if pinned_buffer is not None:
-                pinned_buffer.put(grab)
+            env.schedule(0.0, cursor.start)
+            self.pending += 1
+        if not self.pending:
+            env.schedule(0.0, self.join)
+
+    def path_ended(self, error: Optional[BaseException]) -> None:
+        if not self.pending:
+            return  # joined already: a failure settled the transfer
+        if error is None:
+            self.pending -= 1
+            if self.pending:
+                return
+        else:
+            self.error = error
+            self.pending = 0
+        self.engine.env.schedule(0.0, self.join)
+
+    def join(self) -> None:
+        if self.error is not None:
+            self.done.fail(self.error)
+            return
+        now = self.engine.env.now
+        if self.bus is not None:
+            self.bus.publish(TransferFinished(
+                t=now,
+                transfer_id=self.transfer_id,
+                tag=self.tag,
+                size=self.size,
+                src=self.paths[0].src,
+                dst=self.paths[0].dst,
+                started_at=self.started,
+                owner=self.owner,
+            ))
+        self.done.succeed(TransferResult(
+            size=self.size,
+            started_at=self.started,
+            finished_at=now,
+            paths=self.paths,
+            per_path_bytes=self.shares,
+        ))
+
+
+class _PathCursor:
+    """One path of a transfer: its batch loop, one callback per step.
+
+    ``remaining`` is the loop's byte count after the batch in flight,
+    ``block`` that batch's size and ``grab`` its pinned-ring claim;
+    ``flow`` and ``hold`` are the macro-flow in flight and its pinned
+    claim.  ``_next`` is the loop's head.
+    """
+
+    __slots__ = (
+        "transfer",
+        "engine",
+        "path",
+        "size",
+        "min_rate",
+        "remaining",
+        "batch_bytes",
+        "block",
+        "grab",
+        "flow",
+        "hold",
+        "error",
+    )
+
+    def __init__(
+        self, transfer: _Transfer, path: Path, size: float, min_rate: float
+    ) -> None:
+        self.transfer = transfer
+        self.engine = transfer.engine
+        self.path = path
+        self.size = size
+        self.min_rate = min_rate
+        self.remaining = size
+        self.batch_bytes = 0.0
+        self.block = 0.0
+        self.grab = 0.0
+        self.flow: Optional[Flow] = None
+        self.hold: Optional[_PinnedHold] = None
+        self.error: Optional[BaseException] = None
+
+    def start(self) -> None:
+        # Pipeline-fill latency: the first chunk must traverse every hop
+        # before the stream reaches steady state, plus propagation.
+        engine = self.engine
+        path = self.path
+        fill_latency = path.propagation_latency
+        if self.transfer.chunked and path.hops > 1:
+            first_chunk = min(engine.chunk_size, self.size)
+            fill_latency += (path.hops - 1) * (
+                first_chunk / path.nominal_bandwidth
+            )
+        if fill_latency > 0:
+            engine.env.schedule(fill_latency, self._filled)
+        else:
+            self._filled()
+
+    def _filled(self) -> None:
+        engine = self.engine
+        if not self.transfer.chunked:
+            # One flow carries the whole share; then the path ends.
+            self.block = self.size
+            self.remaining = 0.0
+            self._send()
+            return
+        self.batch_bytes = engine.chunk_size * engine.batch_chunks
+        self._next()
+
+    def _next(self) -> None:
+        """The loop's head: end, coalesce the rest, or send a batch."""
+        remaining = self.remaining
+        if not remaining > 0:
+            self._end(None)
+            return
+        engine = self.engine
+        batch_bytes = self.batch_bytes
+        if (
+            engine.mode == "coalesced"
+            and remaining > batch_bytes
+            and engine.network.macro_eligible(self.path.links)
+            and self._coalesce(remaining)
+        ):
+            return
+        block = min(batch_bytes, remaining)
+        self.block = block
+        self.remaining = remaining - block
+        if engine.batch_setup > 0:
+            engine.env.schedule(engine.batch_setup, self._send)
+        else:
+            self._send()
+
+    def _coalesce(self, remaining: float) -> bool:
+        """Try one macro-flow for the rest of the loop.
+
+        Returns ``False`` when coalescing is ineligible (the caller
+        sends one per-batch iteration instead) and ``True`` once the
+        macro is in flight, or once starting it failed the path.
+        """
+        engine = self.engine
+        transfer = self.transfer
+        pinned = transfer.pinned
+        batch_bytes = self.batch_bytes
+        grab = 0.0
+        hold: Optional[_PinnedHold] = None
+        if pinned is not None:
+            # Eligibility requires the whole steady-state claim (one
+            # full batch, what the eager loop holds at any instant) to
+            # be grabbable without queueing behind anyone.
+            grab = min(batch_bytes, pinned.capacity)
+            if pinned.queue_len > 0 or pinned.level < grab:
+                return False
+            hold = _PinnedHold(pinned)
+        try:
+            flow = engine.network.start_macro_flow(
+                self.path.links,
+                remaining,
+                batch_bytes,
+                engine.batch_setup,
+                min_rate=self.min_rate,
+                slo_deadline=transfer.slo_deadline,
+                tag=transfer.tag,
+                owner=transfer.owner,
+                pinned_hold=grab,
+                pinned_refund=hold.refund if hold is not None else None,
+            )
+        except Exception as error:
+            self._end(error)
+            return True
+        if flow is None:
+            return False
+        self.flow = flow
+        if pinned is None:
+            flow.done.callbacks.append(self._macro_done)
+            return True
+        got = pinned.get(grab)  # instant: level checked above
+        hold.amount = grab
+        self.hold = hold
+        engine._register_macro_hold(pinned, flow, hold)
+        got.callbacks.append(self._macro_granted)
+        return True
+
+    def _macro_granted(self, _event: Event) -> None:
+        self.flow.done.callbacks.append(self._macro_done)
+
+    def _macro_done(self, event: Event) -> None:
+        """The macro-flow resolved: return its claim, resume the loop."""
+        ok = event.ok
+        if not ok:
+            event.defuse()
+        flow = self.flow
+        self.flow = None
+        pinned = self.transfer.pinned
+        if pinned is not None:
+            self.engine._unregister_macro_hold(pinned, flow)
+            hold = self.hold
+            self.hold = None
+            if hold.amount > 0:
+                pinned.put(hold.amount)
+                hold.amount = 0.0
+        if not ok:
+            self._end(event.value)
+            return
+        outcome = flow.macro_outcome
+        if outcome.kind == "completed":
+            self._end(None)
+            return
+        self.remaining = outcome.rem_before - outcome.block
+        if outcome.kind == "setup":
+            # The split landed between batches; the setup delay was
+            # already spent virtually, so send the boundary batch at its
+            # virtual start without repeating it.
+            self.block = outcome.block
+            self.engine.env.schedule_at(outcome.resume_at, self._send)
+            return
+        # converted/truncated: done fired at the boundary batch's
+        # completion.  The loop re-enters below it, and may re-coalesce
+        # once the disturbance has passed.
+        self._next()
+
+    def _send(self) -> None:
+        """Send ``block`` bytes as one flow, through the pinned ring."""
+        pinned = self.transfer.pinned
+        if pinned is None:
+            self._start_flow()
+            return
+        self.grab = min(self.block, pinned.capacity)
+        pinned.get(self.grab).callbacks.append(self._granted)
+
+    def _granted(self, _event: Event) -> None:
+        self._start_flow()
+
+    def _start_flow(self) -> None:
+        transfer = self.transfer
+        try:
+            flow = self.engine.network.start_flow(
+                self.path.links,
+                self.block,
+                min_rate=self.min_rate,
+                slo_deadline=transfer.slo_deadline,
+                tag=transfer.tag,
+                owner=transfer.owner,
+            )
+        except Exception as error:
+            if transfer.pinned is not None:
+                transfer.pinned.put(self.grab)
+            self._end(error)
+            return
+        flow.done.callbacks.append(self._sent)
+
+    def _sent(self, event: Event) -> None:
+        """The batch's flow ended: return its pinned claim, then loop."""
+        ok = event.ok
+        if not ok:
+            event.defuse()
+        pinned = self.transfer.pinned
+        if pinned is not None:
+            pinned.put(self.grab)
+        if not ok:
+            self._end(event.value)
+            return
+        self._next()
+
+    def _end(self, error: Optional[BaseException]) -> None:
+        self.error = error
+        self.engine.env.schedule(0.0, self._ended)
+
+    def _ended(self) -> None:
+        self.transfer.path_ended(self.error)
 
 
 def single_flow_event(

@@ -334,7 +334,6 @@ class ServerlessPlatform:
                 node,
                 alias=stage.name,
             )
-        instance.keep_executions = self.keep_results
         return instance
 
     # -- static size/SLO propagation -------------------------------------------

@@ -219,8 +219,6 @@ class Process(Event):
 
     # -- internals --------------------------------------------------------
     def _resume(self, value: Any, exc: Optional[BaseException]) -> None:
-        if self.triggered:
-            return
         try:
             if exc is not None:
                 target = self._generator.throw(exc)
@@ -291,26 +289,6 @@ class Environment:
         """Create an event that fires after *delay* seconds."""
         return Timeout(self, delay, value)
 
-    def timeout_until(self, time: float, value: Any = None) -> Event:
-        """Create an event that fires at the absolute instant *time*.
-
-        Unlike ``timeout(time - now)``, the fire time is *time* itself,
-        not ``now + (time - now)`` — the two differ by an ulp whenever
-        the subtraction rounds, which matters to consumers that replay
-        exact event-time arithmetic (the transfer engine's macro-flow
-        splits re-arm batch schedules this way).
-        """
-        if time < self._now:
-            raise SimulationError(
-                f"timeout_until({time}) is in the past (now={self._now})"
-            )
-        event = Event(self)
-        event._ok = True
-        event._value = value if value is not None else time
-        heapq.heappush(self._queue, (time, self._seq, event))
-        self._seq += 1
-        return event
-
     def process(self, generator: Generator) -> Process:
         """Start *generator* as a process; returns its completion event."""
         return Process(self, generator)
@@ -348,8 +326,10 @@ class Environment:
         """Like :meth:`schedule`, but at the absolute instant *time*.
 
         Exact-time arming for callers that replay event-time arithmetic
-        (see :meth:`timeout_until` for why ``schedule(time - now)`` is
-        not equivalent at the ulp level).
+        (the network's macro-flow timers, the transfer engine resuming a
+        split macro-flow): ``schedule(time - now)`` would fire at ``now
+        + (time - now)``, which differs from *time* by an ulp whenever
+        the subtraction rounds.
         """
         if time < self._now:
             raise SimulationError(f"time {time} is in the past (now={self._now})")

@@ -207,3 +207,70 @@ class TestContention:
         )
         env.run()
         assert proc.value.finished_at == pytest.approx(10.0)
+
+
+class TestFailures:
+    """A failing transfer fails its event; nothing escapes ``env.step``."""
+
+    @staticmethod
+    def outcome(env, event):
+        seen = []
+
+        def waiter():
+            try:
+                yield event
+                seen.append("ok")
+            except SimulationError as error:
+                seen.append((env.now, str(error)))
+
+        env.process(waiter())
+        env.run()
+        return seen
+
+    def test_split_error_fails_the_event_at_the_start_step(self, env, engine):
+        class DeadPath:
+            nominal_bandwidth = 0.0
+            src = dst = "g0"
+
+            def devices(self):
+                return ["g0", "g1"]
+
+        seen = self.outcome(env, engine.transfer([DeadPath()], size=10.0))
+        (when, message), = seen
+        assert when == 0.0 and "zero nominal" in message
+
+    @pytest.mark.parametrize("mode,chunked", [
+        ("per_batch", False), ("per_batch", True), ("coalesced", True),
+    ])
+    def test_start_flow_error_fails_the_transfer(self, mode, chunked):
+        env = Environment()
+        engine = TransferEngine(
+            env, FlowNetwork(env), chunk_size=100.0, batch_chunks=1,
+            batch_setup=0.0, mode=mode,
+        )
+        path = Path((link("l", "a", "b", 100.0),))
+        event = engine.transfer(
+            [path], size=1000.0, min_rate=-1.0, chunked=chunked
+        )
+        (_when, message), = self.outcome(env, event)
+        assert "negative min_rate" in message
+
+    def test_cancelled_batch_returns_pinned_bytes(self, env, net):
+        engine = TransferEngine(
+            env, net, chunk_size=100.0, batch_chunks=1, batch_setup=0.0,
+            mode="per_batch",
+        )
+        buffer = Container(env, capacity=100.0, init=100.0)
+        path = Path((link("l", "a", "h", 100.0, kind=LinkKind.PCIE),))
+        event = engine.transfer([path], size=300.0, pinned_buffer=buffer)
+
+        def saboteur():
+            yield env.timeout(1.5)
+            (flow,) = net.active_flows
+            net.cancel_flow(flow)
+
+        env.process(saboteur())
+        (when, message), = self.outcome(env, event)
+        assert when == 1.5 and "cancelled" in message
+        assert buffer.level == 100.0
+        assert net.active_flows == set()

@@ -26,7 +26,7 @@ class TestRoundRobinIntegration:
         # replicas; with 4 requests each replica served exactly 2.
         for stage_name, replicas in deployment.replica_sets.items():
             assert len(replicas) == 2
-            counts = [len(r.executions) for r in replicas]
+            counts = [r.execution_count for r in replicas]
             assert counts == [2, 2], stage_name
 
     def test_single_replica_serves_everything(self):
@@ -36,7 +36,7 @@ class TestRoundRobinIntegration:
             platform.submit(deployment)
         platform.env.run()
         for replicas in deployment.replica_sets.values():
-            assert len(replicas[0].executions) == 3
+            assert replicas[0].execution_count == 3
 
     def test_outstanding_counter_returns_to_zero(self):
         platform = make_platform()

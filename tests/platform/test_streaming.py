@@ -53,11 +53,10 @@ class TestResultRetirement:
     def test_retirement_drops_all_per_request_lists(self):
         """keep_results=False must leave NO per-request list growing.
 
-        The three unbounded accumulators a trace run feeds are the
-        platform's results, the plane's per-transfer records, and each
-        replica's per-invocation execution history; a streaming run
-        drops all three (their exact counters survive) so RSS stays
-        flat in request count.
+        The two unbounded accumulators a trace run feeds are the
+        platform's results and the plane's per-transfer records; a
+        streaming run drops both (their exact counters survive) so RSS
+        stays flat in request count.  Replicas keep only a count.
         """
         trace = make_trace(**TRACE_KW)
         plat, dep = fresh(keep_results=False)
@@ -73,7 +72,6 @@ class TestResultRetirement:
             r for rs in dep.replica_sets.values() for r in rs
         ]
         assert sum(i.execution_count for i in instances) > 0
-        assert all(i.executions == [] for i in instances)
 
     def test_materialized_run_keeps_accounting_lists(self):
         trace = make_trace(**TRACE_KW)
@@ -81,10 +79,6 @@ class TestResultRetirement:
         plat.run_trace(dep, trace)
         assert len(plat.plane.metrics.records) > 0
         assert plat.plane.metrics.latencies()
-        assert any(
-            r.executions
-            for rs in dep.replica_sets.values() for r in rs
-        )
 
 
 class TestStreamingArrivals:

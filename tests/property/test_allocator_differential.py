@@ -13,9 +13,9 @@ tolerances).
 ``slo_deadline`` flows and mid-flight cancels on a DGX-style topology
 (per-GPU PCIe uplinks into two switch groups, shared host links, NIC).
 
-A hypothesis test also compares the incremental allocator's one-flow
-closed form with the general fill, which ``fullscan`` always runs, by
-``repr`` of the rate.
+Hypothesis tests also compare the incremental allocator's one-flow
+closed form and two-flow pair fill with the general fill, which
+``fullscan`` always runs, by ``repr`` of the rates.
 
 On top of the engine-level sweeps, whole runs are pinned: the Fig. 13
 and Fig. 14 harnesses, the profiler's blame decomposition, and a
@@ -409,3 +409,138 @@ def test_lone_flow_closed_form_matches_general_fill(policy, case):
     # The incremental allocator routes a lone flow to the closed form.
     routed = closed._compute_rates([flow], links, now=override)[flow]
     assert repr(routed) == repr(want)
+
+
+# -- two-flow pair fill ------------------------------------------------------
+
+
+@st.composite
+def _pair_flow(draw, shared, tag, scale, ref):
+    """One flow of a pair: its path, reservation, cap and deadline."""
+    own = [
+        Link(link_id=f"{tag}{i}", src=f"{tag}{i}", dst=f"{tag}{i}+",
+             capacity=draw(st.floats(min_value=1.0, max_value=1e3)) * scale,
+             kind=LinkKind.PCIE)
+        for i in range(draw(st.integers(min_value=0, max_value=3)))
+    ]
+    # Shared links anywhere in the path, private ones around them.
+    path = draw(st.permutations(own + shared))
+    bottleneck = min(link.capacity for link in path)
+    min_rate = draw(st.one_of(
+        st.just(0.0),
+        st.floats(min_value=1e-12, max_value=1e-6),  # tiny
+        st.floats(min_value=1e-12, max_value=1.0).map(
+            lambda x: bottleneck * (1.0 + x)),  # above capacity
+        # Leaves the bottleneck a residual of at most _EPS (saturated).
+        st.floats(min_value=0.0, max_value=1e-9).map(
+            lambda x: max(bottleneck - x, 1e-12)),
+        st.floats(min_value=1e-12, max_value=1.0).map(
+            lambda x: bottleneck * x),
+    ))
+    rate_cap = draw(st.one_of(
+        st.just(float("inf")),
+        st.just(0.0),
+        st.floats(min_value=1e-12, max_value=2.0).map(
+            lambda x: bottleneck * x),
+    ))
+    size = draw(st.floats(min_value=1.0, max_value=1e3)) * scale
+    remaining = size * draw(st.one_of(
+        st.just(1.0), st.floats(min_value=1e-9, max_value=1.0),
+    ))
+    slo_deadline = draw(st.one_of(
+        st.none(),
+        st.floats(min_value=1e-9, max_value=10.0).map(lambda x: ref - x),
+        st.just(ref),
+        st.floats(min_value=1e-9, max_value=10.0).map(lambda x: ref + x),
+        st.just(ref + 1e-12),
+    ))
+    return path, min_rate, rate_cap, size, remaining, slo_deadline
+
+
+@st.composite
+def _pair_case(draw):
+    """Two flows sharing 1-3 links, leaning on the fill's edge cases."""
+    scale = draw(st.sampled_from([1.0, GB]))
+    shared = [
+        Link(link_id=f"s{i}", src=f"s{i}", dst=f"s{i}+",
+             capacity=draw(st.floats(min_value=1.0, max_value=1e3)) * scale,
+             kind=LinkKind.PCIE)
+        for i in range(draw(st.integers(min_value=1, max_value=3)))
+    ]
+    override = draw(st.one_of(
+        st.none(), st.floats(min_value=_NOW, max_value=_NOW + 10.0),
+    ))
+    ref = _NOW if override is None else override
+    flows = [
+        draw(_pair_flow(shared, tag, scale, ref)) for tag in ("a", "b")
+    ]
+    if draw(st.booleans()):
+        # Equal deadlines: the top-up order falls to arrival order.
+        flows[1] = (*flows[1][:5], flows[0][5])
+    # Which flow arrived first; a converted macro-flow can arrive
+    # before a flow with a smaller id.
+    earlier = draw(st.sampled_from([None, 0, 1]))
+    swap = draw(st.booleans())  # hand the pair over in the other order
+    return flows, override, earlier, swap
+
+
+def _one_link_pair(deadlines, earlier):
+    """Two 100 B flows on one 10 B/s link: every top-up contends."""
+    link = Link(link_id="s0", src="s0", dst="s0+", capacity=10.0,
+                kind=LinkKind.PCIE)
+    specs = [
+        ([link], 0.0, float("inf"), 100.0, 100.0, deadline)
+        for deadline in deadlines
+    ]
+    return specs, None, earlier, False
+
+
+# Fixed cases where the top-up order decides which flow gets the link:
+# the later-created flow has the tighter deadline; and, at equal
+# deadlines, the later-created flow arrived first.
+@pytest.mark.parametrize("policy", ["maxmin", "slo_gated"])
+@given(case=_pair_case())
+@example(case=_one_link_pair([_NOW + 4.0, _NOW + 1.0], None))
+@example(case=_one_link_pair([_NOW + 1.0, _NOW + 1.0], 1))
+@settings(max_examples=400, deadline=None)
+def test_pair_fill_matches_general_fill(policy, case):
+    """The two-flow pair fill reproduces the two-phase fill's floats."""
+    specs, override, earlier, swap = case
+    env = Environment()
+    env.run(until=_NOW)
+    closed = FlowNetwork(env, policy=policy, allocator="incremental")
+    general = FlowNetwork(env, policy=policy, allocator="fullscan")
+    flows = []
+    for path, min_rate, rate_cap, size, remaining, slo_deadline in specs:
+        flow = Flow(env, path, size, min_rate=min_rate, rate_cap=rate_cap,
+                    slo_deadline=slo_deadline)
+        flow.remaining = remaining
+        flows.append(flow)
+    if earlier is not None:
+        flows[earlier].arrival_order = _NOW - 1.0
+    if swap:
+        flows.reverse()
+    links = {
+        link.link_id: general.link_state(link)
+        for flow in flows for link in flow.path
+    }
+    want = general._compute_rates(flows, links, now=override)
+    got = closed._pair_rates(flows[0], flows[1], override)
+    assert got is not None
+    assert [repr(rate) for rate in got] == [repr(want[f]) for f in flows]
+    # The incremental allocator routes a pair to the pair fill.
+    routed = closed._compute_rates(flows, links, now=override)
+    assert [repr(routed[f]) for f in flows] == [repr(want[f]) for f in flows]
+
+
+def test_pair_fill_defers_a_repeated_link_to_the_general_fill():
+    env = Environment()
+    net = FlowNetwork(env, allocator="incremental")
+    link = Link(link_id="l", src="a", dst="b", capacity=10.0,
+                kind=LinkKind.PCIE)
+    other = Link(link_id="m", src="b", dst="c", capacity=10.0,
+                 kind=LinkKind.PCIE)
+    twice = Flow(env, [link, other, link], 1.0)
+    once = Flow(env, [link], 1.0)
+    assert net._pair_rates(twice, once) is None
+    assert net._pair_rates(once, twice) is None

@@ -1,9 +1,9 @@
-"""Absolute-time scheduling primitives (``timeout_until``/``schedule_at``).
+"""Absolute-time scheduling (``schedule_at``).
 
 ``now + (t - now)`` differs from ``t`` by an ulp whenever the
 subtraction rounds — fatal for consumers that replay exact event-time
 arithmetic, like the transfer engine's macro-flow splits.  These tests
-pin the exact-instant guarantee and the past-time guards.
+pin the exact-instant guarantee and the past-time guard.
 """
 
 import pytest
@@ -16,66 +16,6 @@ from repro.sim import Environment
 # float64: relative delays cannot hit the instant exactly.
 START = 0.0009899011959374497
 TARGET = 0.0035060719285184417
-
-
-def test_timeout_until_fires_at_exact_instant():
-    env = Environment()
-    seen = []
-
-    def proc():
-        yield env.timeout(START)
-        assert env.now + (TARGET - env.now) != TARGET  # relative drifts
-        yield env.timeout_until(TARGET)
-        seen.append(env.now)
-
-    env.process(proc())
-    env.run()
-    assert seen == [TARGET]
-
-
-def test_timeout_until_value_defaults_to_time():
-    env = Environment()
-    got = []
-
-    def proc():
-        value = yield env.timeout_until(2.5)
-        got.append(value)
-        value = yield env.timeout_until(3.0, value="x")
-        got.append(value)
-
-    env.process(proc())
-    env.run()
-    assert got == [2.5, "x"]
-
-
-def test_timeout_until_now_is_allowed():
-    env = Environment()
-    fired = []
-
-    def proc():
-        yield env.timeout(1.0)
-        yield env.timeout_until(env.now)  # zero-delay, not an error
-        fired.append(env.now)
-
-    env.process(proc())
-    env.run()
-    assert fired == [1.0]
-
-
-def test_timeout_until_past_raises():
-    env = Environment()
-    failures = []
-
-    def proc():
-        yield env.timeout(1.0)
-        try:
-            env.timeout_until(0.5)
-        except SimulationError as exc:
-            failures.append(str(exc))
-
-    env.process(proc())
-    env.run()
-    assert failures and "in the past" in failures[0]
 
 
 def test_schedule_at_fires_at_exact_instant():
