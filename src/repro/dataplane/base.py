@@ -226,7 +226,7 @@ class DataPlane(abc.ABC):
 
         bus = env.telemetry
         if bus is not None:
-            bus.publish(PlaneInfo(t=env.now, plane=self.name))
+            bus.publish(PlaneInfo(env.now, self.name))
 
     # -- public API ----------------------------------------------------------
     def attach_queue_oracle(self, oracle: Optional[QueueOracle]) -> None:
@@ -268,12 +268,8 @@ class DataPlane(abc.ABC):
         bus = self.env.telemetry
         if bus is not None:
             bus.publish(StoreGet(
-                t=self.env.now,
-                object_id=ref.object_id,
-                device_id=ctx.device_id,
-                size=ref.size,
-                category=result.category,
-                latency=result.latency,
+                self.env.now, ref.object_id, ctx.device_id, ref.size,
+                result.category, result.latency,
             ))
         return result
 
@@ -596,11 +592,7 @@ class DataPlane(abc.ABC):
         bus = self.env.telemetry
         if bus is not None:
             bus.publish(StoreEvict(
-                t=self.env.now,
-                object_id=obj.object_id,
-                src_device=src_device,
-                dst_device=dst_device,
-                size=obj.size,
+                self.env.now, obj.object_id, src_device, dst_device, obj.size,
             ))
 
     # -- memory introspection ----------------------------------------------------

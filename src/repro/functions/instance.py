@@ -90,10 +90,8 @@ class FunctionInstance:
         bus = self.env.telemetry
         if bus is not None:
             bus.publish(ReplicaOutstanding(
-                t=self.env.now,
-                replica=self.instance_id,
-                device_id=self.device_id,
-                outstanding=self.outstanding,
+                self.env.now, self.instance_id, self.device_id,
+                self.outstanding,
             ))
 
     def execute_held(self, batch: int = 1, input_bytes: float = 0.0) -> Process:

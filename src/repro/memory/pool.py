@@ -100,13 +100,8 @@ class MemoryPool:
         bus = self.env.telemetry
         if bus is not None:
             bus.publish(PoolAlloc(
-                t=self.env.now,
-                device_id=self.device.device_id,
-                size=size,
-                reserved=self._reserved,
-                in_use=self._in_use,
-                grew=grew,
-                requested_at=requested_at,
+                self.env.now, self.device.device_id, size, self._reserved,
+                self._in_use, grew, requested_at,
             ))
         return PoolAllocation(next(MemoryPool._ids), size, self)
 
@@ -123,11 +118,8 @@ class MemoryPool:
         bus = self.env.telemetry
         if bus is not None:
             bus.publish(PoolFree(
-                t=self.env.now,
-                device_id=self.device.device_id,
-                size=allocation.size,
-                reserved=self._reserved,
-                in_use=self._in_use,
+                self.env.now, self.device.device_id, allocation.size,
+                self._reserved, self._in_use,
             ))
 
     def prewarm(self, size: float) -> None:
@@ -162,11 +154,8 @@ class MemoryPool:
         bus = self.env.telemetry
         if bus is not None:
             bus.publish(PoolTrim(
-                t=self.env.now,
-                device_id=self.device.device_id,
-                released=excess,
-                reserved=self._reserved,
-                in_use=self._in_use,
+                self.env.now, self.device.device_id, excess, self._reserved,
+                self._in_use,
             ))
         return excess
 

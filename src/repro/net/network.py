@@ -161,6 +161,16 @@ class Flow:
         )
 
 
+def _flow_started(t: float, flow: Flow, rate: Optional[float]) -> FlowStarted:
+    """*flow*'s :class:`FlowStarted` event, published at *t*."""
+    path = flow.path
+    return FlowStarted(
+        t, flow.flow_id, flow.tag, flow.size,
+        tuple([link.link_id for link in path]), path[0].src, path[-1].dst,
+        flow.owner, tuple([link.capacity for link in path]), rate,
+    )
+
+
 def _flow_order(flow: Flow) -> tuple[float, int]:
     """Deterministic allocation order: arrival instant, then id.
 
@@ -410,28 +420,12 @@ class FlowNetwork:
         self._flows[flow.flow_id] = flow
         for link in flow.path:
             self._links[link.link_id].flows[flow.flow_id] = flow
-        # Announce the flow before the reallocation below publishes its
-        # first rate epoch, so stream consumers (the profiler's span
-        # trees) see a complete bandwidth history from birth.
-        bus = self.env.telemetry
-        if bus is not None:
-            bus.publish(FlowStarted(
-                t=self.env.now,
-                flow_id=flow.flow_id,
-                tag=flow.tag,
-                size=flow.size,
-                links=tuple(link.link_id for link in flow.path),
-                src=flow.path[0].src,
-                dst=flow.path[-1].dst,
-                nominal_bw=min(link.capacity for link in flow.path),
-                owner=flow.owner,
-                capacities=tuple(link.capacity for link in flow.path),
-            ))
         # A new flow can merge previously disjoint components; the
         # component search from the attached flow covers the merge.
         # Progress inside the component is advanced at the old rates
-        # before they change; everything outside stays lazy.
-        self._reallocate_scoped([flow], "start", flow.flow_id)
+        # before they change; everything outside stays lazy.  The
+        # reallocation also announces the flow.
+        self._reallocate_scoped([flow], flow)
         return flow
 
     def cancel_flow(self, flow: Flow) -> None:
@@ -463,7 +457,7 @@ class FlowNetwork:
         neighbors = self._neighbors(flow)
         self._detach(flow)
         flow.done.fail(SimulationError(f"flow {flow.flow_id} cancelled"))
-        self._reallocate_scoped(neighbors, "cancel", flow.flow_id)
+        self._reallocate_scoped(neighbors)
 
     # -- macro-flows (steady-state batch coalescing) ----------------------
     def macro_eligible(self, path: Sequence[Link]) -> bool:
@@ -631,28 +625,8 @@ class FlowNetwork:
             flow.arrival_order = entry.s
             flow._last_update = now
             if bus is not None:
-                links = tuple(link.link_id for link in flow.path)
-                bus.publish(FlowStarted(
-                    t=entry.s,
-                    flow_id=flow.flow_id,
-                    tag=flow.tag,
-                    size=flow.size,
-                    links=links,
-                    src=flow.path[0].src,
-                    dst=flow.path[-1].dst,
-                    nominal_bw=min(link.capacity for link in flow.path),
-                    owner=flow.owner,
-                    capacities=tuple(link.capacity for link in flow.path),
-                ))
-                bus.publish(FlowsReallocated(
-                    t=entry.s,
-                    trigger="start",
-                    flow_id=flow.flow_id,
-                    component=(flow.flow_id,),
-                    links=links,
-                    rescheduled=(flow.flow_id,),
-                    rates=(entry.rate,),
-                ))
+                # The batch flow started alone at its virtual start.
+                bus.publish(_flow_started(entry.s, flow, entry.rate))
         else:
             # Setup window: refund the whole pinned claim and hand the
             # loop back to the engine at the virtual batch start.
@@ -758,9 +732,9 @@ class FlowNetwork:
         """Emit the per-batch-equivalent event stream for batches < *upto*.
 
         Each virtual batch gets a fresh flow id and the exact
-        FlowStarted / single-flow FlowsReallocated / FlowFinished
-        triple the per-batch world would have published, at the
-        virtual timestamps.  Ids differ from a real per-batch run
+        FlowStarted (carrying the lone batch flow's rate) / FlowFinished
+        pair the per-batch world would have published, at the virtual
+        timestamps.  Ids differ from a real per-batch run
         (they are allocated lazily); consumers key on ids, not their
         values, so span trees and blame tiling stay exact.
         """
@@ -770,46 +744,17 @@ class FlowNetwork:
         if bus is None:
             macro.published = upto
             return
-        links = tuple(link.link_id for link in flow.path)
-        src = flow.path[0].src
-        dst = flow.path[-1].dst
-        nominal = min(link.capacity for link in flow.path)
-        caps = tuple(link.capacity for link in flow.path)
+        path = flow.path
+        links = tuple(link.link_id for link in path)
+        caps = tuple(link.capacity for link in path)
         for j in range(macro.published, upto):
             entry = macro.entries[j]
             vid = next(Flow._ids)
             bus.publish(FlowStarted(
-                t=entry.s,
-                flow_id=vid,
-                tag=flow.tag,
-                size=entry.b,
-                links=links,
-                src=src,
-                dst=dst,
-                nominal_bw=nominal,
-                owner=flow.owner,
-                capacities=caps,
+                entry.s, vid, flow.tag, entry.b, links, path[0].src,
+                path[-1].dst, flow.owner, caps, entry.rate,
             ))
-            bus.publish(FlowsReallocated(
-                t=entry.s,
-                trigger="start",
-                flow_id=vid,
-                component=(vid,),
-                links=links,
-                rescheduled=(vid,),
-                rates=(entry.rate,),
-            ))
-            bus.publish(FlowFinished(
-                t=entry.f,
-                flow_id=vid,
-                tag=flow.tag,
-                size=entry.b,
-                links=links,
-                src=src,
-                dst=dst,
-                started_at=entry.s,
-                owner=flow.owner,
-            ))
+            bus.publish(FlowFinished(entry.f, vid))
         macro.published = upto
 
     # -- progress accounting ----------------------------------------------
@@ -958,13 +903,15 @@ class FlowNetwork:
 
     # -- reallocation -----------------------------------------------------
     def _reallocate_scoped(
-        self, flows: Sequence[Flow], trigger: str, changed_id: int
+        self, flows: Sequence[Flow], started: Optional[Flow] = None
     ) -> None:
         """Recompute rates for every component touching *flows*.
 
         *flows* seed the affected region (flow_id-sorted); after a
         departure they may span several newly split components, each
         advanced at its old rates and then recomputed independently.
+        *started* is the flow whose arrival triggered the pass (its only
+        seed), which the reallocation announces.
         """
         seen: set[int] = set()
         for flow in flows:
@@ -973,19 +920,17 @@ class FlowNetwork:
             component, links = self._component_with(flow)
             seen.update(f.flow_id for f in component)
             self._advance_component(component)
-            self._recompute_component(component, links, trigger, changed_id)
+            self._recompute_component(component, links, started)
 
     def _recompute_component(
         self,
         component: list[Flow],
         links: dict[str, _LinkState],
-        trigger: str,
-        changed_id: int,
+        started: Optional[Flow] = None,
     ) -> None:
         self.realloc_count += 1
         self.realloc_flows += len(component)
         rates = self._compute_rates(component, links)
-        rescheduled: list[int] = []
         for flow in component:
             new_rate = rates[flow]
             if (
@@ -1013,20 +958,25 @@ class FlowNetwork:
                 continue
             flow.rate = new_rate
             self._schedule_completion(flow)
-            rescheduled.append(flow.flow_id)
-        self.timer_reschedules += len(rescheduled)
+            self.timer_reschedules += 1
         bus = self.env.telemetry
-        if bus is not None:
-            bus.publish(FlowsReallocated(
-                t=self.env.now,
-                trigger=trigger,
-                flow_id=changed_id,
-                component=tuple(f.flow_id for f in component),
-                links=tuple(links),
-                rescheduled=tuple(rescheduled),
-                rates=tuple(f.rate for f in component),
-            ))
-
+        if bus is None:
+            return
+        now = self.env.now
+        if started is not None:
+            # Announced before its first rate epoch, so stream consumers
+            # (the profiler's span trees) see a complete bandwidth
+            # history from birth.  A flow alone in its component carries
+            # that epoch itself.
+            if len(component) == 1:
+                bus.publish(_flow_started(now, started, started.rate))
+                return
+            bus.publish(_flow_started(now, started, None))
+        bus.publish(FlowsReallocated(
+            now,
+            tuple([f.flow_id for f in component]),
+            tuple([f.rate for f in component]),
+        ))
 
     # -- internals -----------------------------------------------------------
     def _detach(self, flow: Flow) -> None:
@@ -1084,20 +1034,10 @@ class FlowNetwork:
         flow.remaining = 0.0
         self._detach(flow)
         flow.done.succeed(self._stats(flow))
-        self._reallocate_scoped(neighbors, "finish", flow.flow_id)
+        self._reallocate_scoped(neighbors)
         bus = self.env.telemetry
         if bus is not None:
-            bus.publish(FlowFinished(
-                t=self.env.now,
-                flow_id=flow.flow_id,
-                tag=flow.tag,
-                size=flow.size,
-                links=tuple(link.link_id for link in flow.path),
-                src=flow.path[0].src,
-                dst=flow.path[-1].dst,
-                started_at=flow.started_at,
-                owner=flow.owner,
-            ))
+            bus.publish(FlowFinished(now, flow.flow_id))
 
     def _stats(self, flow: Flow) -> FlowStats:
         return FlowStats(

@@ -377,14 +377,9 @@ class _Transfer:
         if bus is not None:
             self.transfer_id = next(TransferEngine._ids)
             bus.publish(TransferStarted(
-                t=self.started,
-                transfer_id=self.transfer_id,
-                tag=self.tag,
-                size=self.size,
-                src=self.paths[0].src,
-                dst=self.paths[0].dst,
-                num_paths=len(self.paths),
-                owner=self.owner,
+                self.started, self.transfer_id, self.tag, self.size,
+                self.paths[0].src, self.paths[0].dst, len(self.paths),
+                self.owner,
             ))
         try:
             shares = self.engine.split_sizes(self.paths, self.size)
@@ -422,14 +417,8 @@ class _Transfer:
         now = self.engine.env.now
         if self.bus is not None:
             self.bus.publish(TransferFinished(
-                t=now,
-                transfer_id=self.transfer_id,
-                tag=self.tag,
-                size=self.size,
-                src=self.paths[0].src,
-                dst=self.paths[0].dst,
-                started_at=self.started,
-                owner=self.owner,
+                now, self.transfer_id, self.tag, self.size, self.paths[0].src,
+                self.paths[0].dst, self.started, self.owner,
             ))
         self.done.succeed(TransferResult(
             size=self.size,

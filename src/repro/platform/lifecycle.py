@@ -121,9 +121,7 @@ class RequestLifecycle:
         )
         bus = env.telemetry
         if bus is not None:
-            bus.publish(RequestArrived(
-                t=env.now, request_id=request_id, workflow=workflow
-            ))
+            bus.publish(RequestArrived(env.now, request_id, workflow))
 
     # -- state machine -------------------------------------------------------
     def _transition(self, to: RequestState) -> None:
@@ -144,11 +142,8 @@ class RequestLifecycle:
         bus = self.env.telemetry
         if bus is not None:
             bus.publish(RequestFinished(
-                t=self.env.now,
-                request_id=self.request_id,
-                workflow=self.workflow,
-                latency=result.latency,
-                slo_met=result.slo_met,
+                self.env.now, self.request_id, self.workflow, result.latency,
+                result.slo_met,
             ))
         return result
 
@@ -173,12 +168,6 @@ class RequestLifecycle:
         bus = self.env.telemetry
         if bus is not None:
             bus.publish(StageSpan(
-                t=self.env.now,
-                request_id=self.request_id,
-                stage=stage,
-                kind=kind,
-                start=start,
-                end=self.env.now,
-                device_id=device_id,
-                replica=replica,
+                self.env.now, self.request_id, stage, kind, start,
+                self.env.now, device_id, replica,
             ))

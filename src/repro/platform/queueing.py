@@ -154,7 +154,7 @@ class StageQueue:
         bus = self.env.telemetry
         if bus is not None:
             bus.publish(StageQueueDepth(
-                t=self.env.now, stage=self.stage, depth=self._depth
+                self.env.now, self.stage, self._depth,
             ))
 
     def enter(self) -> None:

@@ -171,10 +171,8 @@ def publish_placement(
     bus = env.telemetry
     if bus is not None:
         bus.publish(PlacementDecision(
-            t=env.now,
-            policy=policy.name,
-            workflow=workflow.name,
-            assignment=tuple(sorted(result.assignment.items())),
+            env.now, policy.name, workflow.name,
+            tuple(sorted(result.assignment.items())),
         ))
 
 

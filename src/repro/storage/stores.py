@@ -56,11 +56,7 @@ class GpuStore:
         bus = self.env.telemetry
         if bus is not None:
             bus.publish(StorePut(
-                t=self.env.now,
-                object_id=obj.object_id,
-                device_id=self.device_id,
-                size=obj.size,
-                placement="gpu",
+                self.env.now, obj.object_id, self.device_id, obj.size, "gpu",
             ))
         return obj
 
@@ -125,11 +121,7 @@ class HostStore:
         bus = self.env.telemetry
         if bus is not None:
             bus.publish(StorePut(
-                t=self.env.now,
-                object_id=obj.object_id,
-                device_id=self.device_id,
-                size=obj.size,
-                placement="host",
+                self.env.now, obj.object_id, self.device_id, obj.size, "host",
             ))
 
     def remove(self, obj: DataObject) -> None:

@@ -15,6 +15,10 @@ Simulation seconds map to trace microseconds.  A telemetry session may
 span several independent simulation runs (an experiment builds a fresh
 ``Environment`` per measurement); runs are kept apart by prefixing the
 pid with ``run<N>:``.
+
+A flow's slices are drawn when it finishes: :class:`TraceConverter`
+keeps each open flow's :class:`~repro.telemetry.events.FlowStarted`
+and joins the ``FlowFinished`` to it on ``flow_id``.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from typing import Iterable, Optional, Union
 
 from repro.telemetry.events import (
     FlowFinished,
+    FlowStarted,
     PlacementDecision,
     PoolAlloc,
     PoolFree,
@@ -93,24 +98,44 @@ def _counter(name: str, t: float, pid: str, tid: str, values: dict) -> dict:
     }
 
 
-def convert_event(event: TelemetryEvent, pid_prefix: str = "") -> list[dict]:
-    """One telemetry event -> zero or more trace_event dicts.
+class TraceConverter:
+    """Turns one event stream into trace_event dicts, event by event.
 
     Shared by the batch exporter below and the streaming
-    :class:`~repro.telemetry.sinks.ChromeStreamingSink`.
+    :class:`~repro.telemetry.sinks.ChromeStreamingSink`.  It holds the
+    :class:`FlowStarted` of every flow not yet finished, since a flow's
+    slices need both ends.
     """
-    p = pid_prefix
-    if isinstance(event, FlowFinished):
-        # One slice per link hop: every link is its own thread, so
-        # Perfetto shows per-link occupancy lanes.
-        args = {"size": event.size, "src": event.src, "dst": event.dst,
-                "flow_id": event.flow_id}
-        return [
-            _slice(event.tag or f"flow{event.flow_id}", "net.flow",
-                   event.started_at, event.t,
-                   p + _node_of(link), link, args)
-            for link in event.links
-        ]
+
+    def __init__(self) -> None:
+        self._open_flows: dict[int, FlowStarted] = {}
+
+    def convert(self, event: TelemetryEvent,
+                pid_prefix: str = "") -> list[dict]:
+        """One telemetry event -> zero or more trace_event dicts."""
+        p = pid_prefix
+        if isinstance(event, FlowStarted):
+            self._open_flows[event.flow_id] = event
+            return []
+        if isinstance(event, FlowFinished):
+            started = self._open_flows.pop(event.flow_id, None)
+            if started is None:
+                return []
+            # One slice per link hop: every link is its own thread, so
+            # Perfetto shows per-link occupancy lanes.
+            args = {"size": started.size, "src": started.src,
+                    "dst": started.dst, "flow_id": event.flow_id}
+            return [
+                _slice(started.tag or f"flow{event.flow_id}", "net.flow",
+                       started.t, event.t,
+                       p + _node_of(link), link, args)
+                for link in started.links
+            ]
+        return _convert_record(event, p)
+
+
+def _convert_record(event: TelemetryEvent, p: str) -> list[dict]:
+    """Trace dicts for an event that needs no other event to draw."""
     if isinstance(event, TransferFinished):
         return [_slice(
             event.tag or "transfer", "net.transfer",
@@ -181,7 +206,7 @@ def convert_event(event: TelemetryEvent, pid_prefix: str = "") -> list[dict]:
             p + PLATFORM_PID, "requests",
             {"workflow": event.workflow, "slo_met": event.slo_met},
         )]
-    return []  # starts and routing decisions pair into the slices above
+    return []  # transfer starts pair into the slices above
 
 
 def to_trace_events(
@@ -191,10 +216,12 @@ def to_trace_events(
     """Convert a stream of (optionally run-tagged) events to trace dicts."""
     trace: list[dict] = []
     pids: set[str] = set()
+    converter = TraceConverter()
     for item in events:
-        run, event = item if isinstance(item, tuple) else (0, item)
+        # Events are NamedTuples; only a (run, event) pair is a bare tuple.
+        run, event = item if type(item) is tuple else (0, item)
         prefix = f"run{run}:" if multi_run else ""
-        for record in convert_event(event, prefix):
+        for record in converter.convert(event, prefix):
             pids.add(record["pid"])
             trace.append(record)
     return process_metadata(pids) + trace

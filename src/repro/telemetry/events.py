@@ -7,73 +7,89 @@ data planes (start-up, Gets and evictions), the memory pools
 (alloc/free with occupancy), the placement policies, and the platform
 (request lifecycle and per-stage spans).
 
-Events are frozen dataclasses so subscribers can keep them forever;
-``t`` is always the simulation time the event was published at.
+Events are :class:`typing.NamedTuple`\\ s, built positionally by their
+publishers: immutable and hashable, so subscribers can keep them
+forever, and cheap enough to build on every flow arrival.  Being
+tuples, two events of different types with equal fields compare equal;
+dispatch on ``type(event)``.  Every type is registered as a virtual
+subclass of :class:`TelemetryEvent`, and ``t`` is always its first
+field: the simulation time the event was published at.
+
+The flow events record each fact once.  :class:`FlowStarted` carries
+what a flow is (its path, size and owner); :class:`FlowsReallocated`
+carries rate epochs; :class:`FlowFinished` carries only the finish
+instant, and consumers join it to the start on ``flow_id``.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Optional
+import abc
+from typing import NamedTuple, Optional
 
 
-@dataclass(frozen=True)
-class TelemetryEvent:
-    """Base class: anything published on the bus."""
+class TelemetryEvent(abc.ABC):
+    """Base of every published event (each type registers itself)."""
 
-    t: float
+    __slots__ = ()
+
+
+def _event(cls: type) -> type:
+    TelemetryEvent.register(cls)
+    return cls
 
 
 # -- network -----------------------------------------------------------------
-@dataclass(frozen=True)
-class FlowStarted(TelemetryEvent):
+@_event
+class FlowStarted(NamedTuple):
     """A flow began occupying its link path.
 
-    ``nominal_bw`` is the bottleneck link capacity along the path — the
-    rate the flow would sustain alone, which the profiler uses to split
-    transfer time into serialization vs. link contention.  ``owner`` is
-    the request id the flow moves data for (empty for background work
-    such as eviction migrations).  ``capacities`` is aligned
-    index-for-index with ``links`` (per-link capacity in bytes/sec), so
-    stream consumers can derive per-link utilization fractions without
-    a live :class:`~repro.net.network.FlowNetwork` — the property that
-    lets a spooled run reproduce health verdicts bit-identically.
+    ``owner`` is the request id the flow moves data for (empty for
+    background work such as eviction migrations).  ``capacities`` is
+    aligned index-for-index with ``links`` (per-link capacity in
+    bytes/sec), so stream consumers can derive per-link utilization
+    fractions without a live :class:`~repro.net.network.FlowNetwork` —
+    the property that lets a spooled run reproduce health verdicts
+    bit-identically.  Its minimum is the rate the flow would sustain
+    alone, which the profiler uses to split transfer time into
+    serialization vs. link contention.
+
+    ``rate`` is the flow's first rate epoch when it starts alone in its
+    bandwidth component, and ``None`` otherwise.  A lone start publishes
+    this event after its reallocation, in place of the one-flow
+    :class:`FlowsReallocated`; any other start publishes it before the
+    reallocation that includes the flow.
     """
 
+    t: float
     flow_id: int
     tag: str
     size: float
     links: tuple[str, ...]
     src: str
     dst: str
-    nominal_bw: float = 0.0
     owner: str = ""
     capacities: tuple[float, ...] = ()
+    rate: Optional[float] = None
 
 
-@dataclass(frozen=True)
-class FlowFinished(TelemetryEvent):
-    """A flow drained its last byte (``t`` is the finish time)."""
+@_event
+class FlowFinished(NamedTuple):
+    """A flow drained its last byte (``t`` is the finish time).
 
+    Everything else about the flow is on its :class:`FlowStarted`.
+    """
+
+    t: float
     flow_id: int
-    tag: str
-    size: float
-    links: tuple[str, ...]
-    src: str
-    dst: str
-    started_at: float
-    owner: str = ""
 
 
-@dataclass(frozen=True)
-class FlowsReallocated(TelemetryEvent):
+@_event
+class FlowsReallocated(NamedTuple):
     """One component-scoped rate recomputation in the flow network.
 
-    Published on every flow arrival/departure for each connected
-    component whose rates were recomputed.  ``component`` lists the
-    flow ids whose rates were re-derived, ``links`` the links bounding
-    them, and ``rescheduled`` the subset whose completion timers were
-    actually rearmed (the rest had exactly unchanged rates).
+    Published on flow arrivals, departures and cancels for each
+    connected component whose rates were recomputed, except a flow that
+    starts alone (its :class:`FlowStarted` carries the rate).
+    ``component`` lists the flow ids whose rates were re-derived; the
+    links bounding them are the union of their paths.
 
     ``rates`` is aligned index-for-index with ``component``: the rate
     each member flow holds from this instant until the next
@@ -81,18 +97,16 @@ class FlowsReallocated(TelemetryEvent):
     profiler's contention attributor integrates over.
     """
 
-    trigger: str  # "start" | "finish" | "cancel"
-    flow_id: int  # the flow whose arrival/departure triggered it
+    t: float
     component: tuple[int, ...]
-    links: tuple[str, ...]
-    rescheduled: tuple[int, ...]
-    rates: tuple[float, ...] = ()
+    rates: tuple[float, ...]
 
 
-@dataclass(frozen=True)
-class TransferStarted(TelemetryEvent):
+@_event
+class TransferStarted(NamedTuple):
     """A (possibly multi-path, chunk-batched) transfer began."""
 
+    t: float
     transfer_id: int
     tag: str
     size: float
@@ -102,10 +116,11 @@ class TransferStarted(TelemetryEvent):
     owner: str = ""
 
 
-@dataclass(frozen=True)
-class TransferFinished(TelemetryEvent):
+@_event
+class TransferFinished(NamedTuple):
     """The transfer's last path completed."""
 
+    t: float
     transfer_id: int
     tag: str
     size: float
@@ -116,20 +131,22 @@ class TransferFinished(TelemetryEvent):
 
 
 # -- storage ------------------------------------------------------------------
-@dataclass(frozen=True)
-class StorePut(TelemetryEvent):
+@_event
+class StorePut(NamedTuple):
     """An object became resident on a GPU or host store."""
 
+    t: float
     object_id: str
     device_id: str
     size: float
     placement: str  # "gpu" | "host"
 
 
-@dataclass(frozen=True)
-class StoreGet(TelemetryEvent):
+@_event
+class StoreGet(NamedTuple):
     """A plane-level Get completed (``t`` is the completion time)."""
 
+    t: float
     object_id: str
     device_id: str
     size: float
@@ -137,10 +154,11 @@ class StoreGet(TelemetryEvent):
     latency: float
 
 
-@dataclass(frozen=True)
-class StoreEvict(TelemetryEvent):
+@_event
+class StoreEvict(NamedTuple):
     """An object's bytes were migrated off a GPU under pressure."""
 
+    t: float
     object_id: str
     src_device: str
     dst_device: str
@@ -148,8 +166,8 @@ class StoreEvict(TelemetryEvent):
 
 
 # -- memory --------------------------------------------------------------------
-@dataclass(frozen=True)
-class PoolAlloc(TelemetryEvent):
+@_event
+class PoolAlloc(NamedTuple):
     """A pool allocation completed; carries post-alloc occupancy.
 
     ``requested_at`` is when the allocation was asked for; ``t`` minus
@@ -158,6 +176,7 @@ class PoolAlloc(TelemetryEvent):
     stream.
     """
 
+    t: float
     device_id: str
     size: float
     reserved: float
@@ -166,20 +185,22 @@ class PoolAlloc(TelemetryEvent):
     requested_at: float = 0.0
 
 
-@dataclass(frozen=True)
-class PoolFree(TelemetryEvent):
+@_event
+class PoolFree(NamedTuple):
     """An allocation returned to its pool."""
 
+    t: float
     device_id: str
     size: float
     reserved: float
     in_use: float
 
 
-@dataclass(frozen=True)
-class PoolTrim(TelemetryEvent):
+@_event
+class PoolTrim(NamedTuple):
     """An elastic trim released reserved-but-idle bytes."""
 
+    t: float
     device_id: str
     released: float
     reserved: float
@@ -187,36 +208,39 @@ class PoolTrim(TelemetryEvent):
 
 
 # -- scheduler ------------------------------------------------------------------
-@dataclass(frozen=True)
-class PlacementDecision(TelemetryEvent):
+@_event
+class PlacementDecision(NamedTuple):
     """A placement policy mapped a workflow's GPU stages to devices."""
 
+    t: float
     policy: str
     workflow: str
     assignment: tuple[tuple[str, str], ...]  # (stage, device_id) pairs
 
 
 # -- requests -------------------------------------------------------------------
-@dataclass(frozen=True)
-class RequestArrived(TelemetryEvent):
+@_event
+class RequestArrived(NamedTuple):
     """A request entered the platform's pending queue."""
 
+    t: float
     request_id: str
     workflow: str
 
 
-@dataclass(frozen=True)
-class RequestFinished(TelemetryEvent):
+@_event
+class RequestFinished(NamedTuple):
     """A request drained its egress output."""
 
+    t: float
     request_id: str
     workflow: str
     latency: float
     slo_met: Optional[bool]
 
 
-@dataclass(frozen=True)
-class StageSpan(TelemetryEvent):
+@_event
+class StageSpan(NamedTuple):
     """One timed region of a request stage.
 
     ``kind`` is one of ``queue`` / ``get`` / ``cold-start`` / ``exec``
@@ -225,6 +249,7 @@ class StageSpan(TelemetryEvent):
     consumers can tell apart replicas co-resident on one device.
     """
 
+    t: float
     request_id: str
     stage: str
     kind: str
@@ -234,8 +259,8 @@ class StageSpan(TelemetryEvent):
     replica: str = ""
 
 
-@dataclass(frozen=True)
-class ReplicaOutstanding(TelemetryEvent):
+@_event
+class ReplicaOutstanding(NamedTuple):
     """A replica's in-flight work count changed (counter-track sample).
 
     Published by :class:`~repro.functions.instance.FunctionInstance` on
@@ -243,22 +268,25 @@ class ReplicaOutstanding(TelemetryEvent):
     per-replica load without polling the instance registry.
     """
 
+    t: float
     replica: str
     device_id: str
     outstanding: int
 
 
-@dataclass(frozen=True)
-class StageQueueDepth(TelemetryEvent):
+@_event
+class StageQueueDepth(NamedTuple):
     """A stage queue's depth changed (counter-track sample)."""
 
+    t: float
     stage: str
     depth: int
 
 
 # -- data plane ----------------------------------------------------------------
-@dataclass(frozen=True)
-class PlaneInfo(TelemetryEvent):
+@_event
+class PlaneInfo(NamedTuple):
     """A data plane came up on this environment (labels the run)."""
 
+    t: float
     plane: str

@@ -6,7 +6,8 @@ every timed region the platform published for it: queue waits, cold
 starts, stage compute, per-edge data transfers, pool-allocation delays,
 and the final egress drain.  Flows are kept with their full bandwidth
 history (one rate per :class:`~repro.telemetry.events.FlowsReallocated`
-epoch) so the contention attributor can integrate shortfall over time.
+epoch, the first one carried by a lone start's ``FlowStarted``) so the
+contention attributor can integrate shortfall over time.
 
 Builders are pure accumulators: they never touch the simulation, so
 they can be attached live (zero extra events) or replayed offline from
@@ -53,7 +54,11 @@ class Span:
 
 @dataclass
 class FlowRecord:
-    """One flow's life, including its full bandwidth-epoch history."""
+    """One flow's life, including its full bandwidth-epoch history.
+
+    ``nominal_bw`` is the path's bottleneck capacity: the rate the flow
+    would sustain alone.
+    """
 
     flow_id: int
     tag: str
@@ -251,9 +256,11 @@ class SpanTreeBuilder:
                 owner=event.owner,
                 links=event.links,
                 size=event.size,
-                nominal_bw=event.nominal_bw,
+                nominal_bw=min(event.capacities, default=0.0),
                 started=event.t,
             )
+            if event.rate is not None:
+                record.rate_points.append((event.t, event.rate))
             self.flows[event.flow_id] = record
             if event.owner:
                 tree = self.requests.get(event.owner)
@@ -324,7 +331,8 @@ def build_profiles(
     """
     builders: dict[int, SpanTreeBuilder] = {}
     for item in events:
-        if isinstance(item, tuple):
+        # Events are NamedTuples; only a (run, event) pair is a bare tuple.
+        if type(item) is tuple:
             run, event = item
         else:
             run, event = 0, item

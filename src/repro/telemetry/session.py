@@ -36,7 +36,7 @@ A session can run in two capture modes:
 from __future__ import annotations
 
 import contextlib
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from repro.common.errors import ConfigError
 from repro.sim.core import Environment
@@ -66,6 +66,8 @@ class TelemetrySession:
         self.events: list[tuple[int, object]] = []
         self.run_count = 0
         self.events_seen = 0
+        # What attach() subscribed, so close() can unsubscribe it.
+        self._attached: list[tuple[EventBus, Callable, StandardMetrics]] = []
 
     def attach(self, env: Environment) -> EventBus:
         """Instrument *env*: bus + event capture + standard metrics."""
@@ -85,7 +87,8 @@ class TelemetrySession:
                 sink.handle(_run, event)
 
         bus.subscribe(None, _capture)
-        StandardMetrics(self.metrics).attach(bus)
+        metrics = StandardMetrics(self.metrics).attach(bus)
+        self._attached.append((bus, _capture, metrics))
         return bus
 
     # -- streaming lifecycle -------------------------------------------------
@@ -94,7 +97,17 @@ class TelemetrySession:
             sink.flush()
 
     def close(self) -> None:
-        """Flush and finalize every sink (idempotent)."""
+        """Stop listening, then flush and finalize every sink (idempotent).
+
+        Unsubscribing frees the session's registry and sinks as soon as
+        the caller drops the session.  A finished run's environment is
+        cyclic garbage that waits for a full collection, which a run
+        publishing telemetry seldom triggers, and the bus hangs off it.
+        """
+        for bus, capture_event, metrics in self._attached:
+            bus.unsubscribe(None, capture_event)
+            metrics.detach()
+        self._attached.clear()
         for sink in self.sinks:
             sink.close()
 

@@ -22,13 +22,14 @@ Two writers are provided:
   crashed run's partial spool is still loadable.
 
 The spool format (:data:`FORMAT`) is positional.  Line 1 is a schema
-header, ``{"format": "repro-events/2", "types": [[name, [field, ...]],
+header, ``{"format": "repro-events/3", "types": [[name, [field, ...]],
 ...]}``, listing every :data:`EVENT_TYPES` class in sorted-name order.
 Every later line is one flush batch: a JSON array of rows
-``[type_index, run, v1, v2, ...]`` whose values follow the event
-dataclass's field order.  The reader refuses a file whose header
+``[type_index, run, v1, v2, ...]``, each the event tuple itself behind
+its type index and run.  The reader refuses a file whose header
 differs from the current schema, so a spool written before an event
-type changed fails loudly instead of decoding into the wrong fields.
+type changed (any ``repro-events/2`` spool among them) fails loudly
+instead of decoding into the wrong fields.
 
 Crash-safety contract: every flush pushes whole lines/records to the
 OS, a partially written trailing line (the process died mid-``write``)
@@ -40,19 +41,17 @@ that never got its end-of-stream marker replays every flushed batch.
 
 from __future__ import annotations
 
-import dataclasses
 import gzip
 import io
 import itertools
 import json
-import operator
 import os
 from typing import IO, Iterable, Iterator, Optional, Protocol, Sequence, Union
 
 from repro.common.errors import ConfigError
 from repro.telemetry import events as _events_module
 from repro.telemetry.bus import EventBus
-from repro.telemetry.chrome import convert_event, process_metadata
+from repro.telemetry.chrome import TraceConverter, process_metadata
 from repro.telemetry.events import TelemetryEvent
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.recorder import StandardMetrics
@@ -61,7 +60,7 @@ DEFAULT_FLUSH_EVENTS = 1024
 DEFAULT_FLUSH_BYTES = 1 << 20  # 1 MiB; ChromeStreamingSink only
 
 #: The JSONL spool's format tag, carried in its schema header.
-FORMAT = "repro-events/2"
+FORMAT = "repro-events/3"
 #: gzip level of compressed spools: zlib's default.  On the grouter
 #: recognition event stream, level 9 spent 3x as long compressing for
 #: a file 4% smaller, and level 1 wrote a file 49% larger.
@@ -75,7 +74,7 @@ EVENT_TYPES: dict[str, type] = {
     for name, obj in vars(_events_module).items()
     if isinstance(obj, type)
     and issubclass(obj, TelemetryEvent)
-    and dataclasses.is_dataclass(obj)
+    and obj is not TelemetryEvent
 }
 
 
@@ -94,37 +93,22 @@ class StreamingSink(Protocol):
 
 # -- serialization -----------------------------------------------------------
 
-def _field_getter(fields: list[str]):
-    """``event -> tuple of its field values``, in *fields* order."""
-    get = operator.attrgetter(*fields)
-    if len(fields) == 1:  # attrgetter of one name returns a bare value
-        return lambda event: (get(event),)
-    return get
-
-
 _TYPE_NAMES = sorted(EVENT_TYPES)
 #: The schema header every spool starts with, as its JSON value.
 SCHEMA = {
     "format": FORMAT,
-    "types": [
-        [name, [f.name for f in dataclasses.fields(EVENT_TYPES[name])]]
-        for name in _TYPE_NAMES
-    ],
+    "types": [[name, list(EVENT_TYPES[name]._fields)] for name in _TYPE_NAMES],
 }
 _HEADER_LINE = json.dumps(SCHEMA, separators=(",", ":")) + "\n"
 _CLASSES = {index: EVENT_TYPES[name] for index, name in enumerate(_TYPE_NAMES)}
-_ENCODERS = {
-    EVENT_TYPES[name]: (index, _field_getter(fields))
-    for index, (name, fields) in enumerate(SCHEMA["types"])
-}
+_INDEX = {cls: index for index, cls in _CLASSES.items()}
 # Rows are tuples of immutable values, so they cannot be circular.
 _JSON = json.JSONEncoder(separators=(",", ":"), check_circular=False)
 
 
 def encode_event(run: int, event: TelemetryEvent) -> tuple:
     """One event -> its spool row ``(type_index, run, v1, v2, ...)``."""
-    index, get = _ENCODERS[type(event)]
-    return (index, run) + get(event)
+    return (_INDEX[type(event)], run, *event)
 
 
 def _untuple(value):
@@ -200,9 +184,9 @@ class JsonlEventSink(_FileSink):
     Lossless: the file (gzip-compressed when ``compress=True`` or the
     path ends in ``.gz``) replays into the identical typed event stream
     via :func:`iter_jsonl_events`.  :meth:`handle` only queues the
-    event; every ``flush_events`` events :meth:`flush` encodes the
+    event's row; every ``flush_events`` events :meth:`flush` encodes the
     batch in one call and writes it as one line.  Deferring the
-    encoding is safe because events are frozen and their field values
+    encoding is safe because events and their field values are
     immutable.
     """
 
@@ -217,7 +201,7 @@ class JsonlEventSink(_FileSink):
             if compress is not None
             else os.fspath(path).endswith(".gz")
         )
-        self._batch: list[tuple[int, TelemetryEvent]] = []
+        self._batch: list[tuple] = []
         super().__init__(path, flush_events)
 
     def _open(self) -> IO[str]:
@@ -232,16 +216,16 @@ class JsonlEventSink(_FileSink):
     def handle(self, run: int, event: TelemetryEvent) -> None:
         self._check_open()
         batch = self._batch
-        batch.append((run, event))
+        batch.append((_INDEX[type(event)], run, *event))
         if len(batch) >= self.flush_events:
             self.flush()
 
     def flush(self) -> None:
-        if self._file is None or not self._batch:
+        batch = self._batch
+        if self._file is None or not batch:
             return
-        rows = [encode_event(run, event) for run, event in self._batch]
-        self._write(_JSON.encode(rows) + "\n", len(rows))
-        self._batch.clear()
+        self._write(_JSON.encode(batch) + "\n", len(batch))
+        batch.clear()
 
 
 class ChromeStreamingSink(_FileSink):
@@ -275,6 +259,7 @@ class ChromeStreamingSink(_FileSink):
         self._buffer_bytes = 0
         self._pids: set[str] = set()
         self._first = True
+        self._converter = TraceConverter()
         super().__init__(path, flush_events)
 
     def _open(self) -> IO[str]:
@@ -295,7 +280,7 @@ class ChromeStreamingSink(_FileSink):
 
     def handle(self, run: int, event: TelemetryEvent) -> None:
         prefix = f"run{run}:" if self.multi_run else ""
-        for record in convert_event(event, prefix):
+        for record in self._converter.convert(event, prefix):
             self._pids.add(record["pid"])
             self._record(record)
 

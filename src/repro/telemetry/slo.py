@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from repro.common.errors import ConfigError
-from repro.telemetry.bus import EventBus
 from repro.telemetry.events import (
     RequestArrived,
     RequestFinished,
@@ -241,10 +240,11 @@ class _RequestAssembly:
 class SloBoard:
     """Feeds a set of :class:`SloTracker`\\ s from the event stream.
 
-    Works attached to a live bus or fed replayed events; either path
-    folds the identical stream, so reports match bit-for-bit.  Per-
-    request assembly state is dropped on finish, keeping the board's
-    memory proportional to in-flight requests, not stream length.
+    Events arrive one at a time through :meth:`feed`, live or replayed
+    from a spool; both fold the identical stream, so reports match
+    bit-for-bit.  Per-request assembly state is dropped on finish,
+    keeping the board's memory proportional to in-flight requests, not
+    stream length.
     """
 
     def __init__(self, specs: Iterable[SloSpec] = ()) -> None:
@@ -256,27 +256,9 @@ class SloBoard:
             spec.name: SloTracker(spec) for spec in specs
         }
         self._pending: dict[str, _RequestAssembly] = {}
-        self._subscriptions: list[tuple[EventBus, dict]] = []
         self.max_t = 0.0
 
-    # -- bus plumbing ---------------------------------------------------------
-    def attach(self, bus: EventBus) -> "SloBoard":
-        handlers = {
-            RequestArrived: self._on_arrived,
-            RequestFinished: self._on_finished,
-            StageSpan: self._on_span,
-        }
-        for event_type, handler in handlers.items():
-            bus.subscribe(event_type, handler)
-        self._subscriptions.append((bus, handlers))
-        return self
-
-    def detach(self) -> None:
-        for bus, handlers in self._subscriptions:
-            for event_type, handler in handlers.items():
-                bus.unsubscribe(event_type, handler)
-        self._subscriptions.clear()
-
+    # -- intake ---------------------------------------------------------------
     def feed(self, event: TelemetryEvent) -> None:
         if isinstance(event, RequestArrived):
             self._on_arrived(event)

@@ -10,10 +10,14 @@ fast-path engagement — each as a bounded ring-buffer
 Everything here is derived **purely from published events**, never
 from live simulator objects: link utilization comes from
 ``FlowStarted.capacities`` plus the per-flow rates carried by
-``FlowsReallocated``, not from polling the network.  That is the
-property the health pipeline (:mod:`repro.telemetry.health`) builds
-on — replaying a JSONL spool through a fresh store reproduces every
-series, and therefore every verdict, bit-identically.
+``FlowsReallocated`` (and by a lone start's ``FlowStarted.rate``), not
+from polling the network.  The store keeps each active flow's path, so
+a reallocation's links are its members' paths and a ``FlowFinished``
+is joined to its start on ``flow_id``.  That is the property the
+health pipeline (:mod:`repro.telemetry.health`) builds on: it folds a
+run's events, live or replayed from a JSONL spool, through
+:meth:`TimeSeriesStore.feed`, and a replay reproduces every series,
+and therefore every verdict, bit-identically.
 
 Samples use edge semantics: multiple transitions at one instant
 collapse to the final value.  An event whose timestamp precedes the
@@ -31,7 +35,6 @@ from typing import Iterable, Optional
 import numpy as np
 
 from repro.common.errors import ConfigError
-from repro.telemetry.bus import EventBus
 from repro.telemetry.events import (
     FlowFinished,
     FlowsReallocated,
@@ -141,11 +144,7 @@ class _FlowState:
 
 
 class TimeSeriesStore:
-    """Folds bus events into per-entity bounded series.
-
-    Usable both as a live bus consumer (:meth:`attach`/:meth:`detach`,
-    the :class:`~repro.telemetry.recorder.StandardMetrics` pattern) and
-    as a replay folder (:meth:`feed` one event at a time from a spool).
+    """Folds events, one at a time (:meth:`feed`), into per-entity series.
 
     Series namespace (entity id after the last dot-segment prefix):
 
@@ -166,7 +165,6 @@ class TimeSeriesStore:
         self._link_capacity: dict[str, float] = {}
         self._link_flows: dict[str, set[int]] = {}
         self._virtual_replays = 0
-        self._subscriptions: list[tuple[EventBus, dict]] = []
 
     # -- series access --------------------------------------------------------
     def get(self, name: str, kind: str = "") -> EntitySeries:
@@ -188,31 +186,9 @@ class TimeSeriesStore:
         """Flows started but not finished at the current stream point."""
         return self.flows
 
-    # -- bus plumbing ---------------------------------------------------------
-    def attach(self, bus: EventBus) -> "TimeSeriesStore":
-        handlers = {
-            FlowStarted: self._on_flow_started,
-            FlowsReallocated: self._on_flows_reallocated,
-            FlowFinished: self._on_flow_finished,
-            StageQueueDepth: self._on_queue_depth,
-            PoolAlloc: self._on_pool,
-            PoolFree: self._on_pool,
-            PoolTrim: self._on_pool,
-            ReplicaOutstanding: self._on_replica,
-        }
-        for event_type, handler in handlers.items():
-            bus.subscribe(event_type, handler)
-        self._subscriptions.append((bus, handlers))
-        return self
-
-    def detach(self) -> None:
-        for bus, handlers in self._subscriptions:
-            for event_type, handler in handlers.items():
-                bus.unsubscribe(event_type, handler)
-        self._subscriptions.clear()
-
+    # -- intake ---------------------------------------------------------------
     def feed(self, event: TelemetryEvent) -> None:
-        """Fold one replayed event (spool path; same folds as live)."""
+        """Fold one event (events must arrive in publish order)."""
         if isinstance(event, FlowStarted):
             self._on_flow_started(event)
         elif isinstance(event, FlowsReallocated):
@@ -262,24 +238,36 @@ class TimeSeriesStore:
             self._link_flows.setdefault(link_id, set()).add(event.flow_id)
         for link_id in event.links:
             self._sample_link(link_id, event.t)
+        if event.rate is not None:
+            # A lone start: this event also stands for the one-flow
+            # reallocation that set its first rate, so fold that point
+            # too (a second sample per link, a second stream point).
+            self._observe_t(event.t)
+            state.rate = event.rate
+            for link_id in dict.fromkeys(event.links):
+                self._sample_link(link_id, event.t)
 
     def _on_flows_reallocated(self, event: FlowsReallocated) -> None:
         self._observe_t(event.t)
+        links: dict[str, None] = {}
         for flow_id, rate in zip(event.component, event.rates):
             state = self.flows.get(flow_id)
             if state is not None:
                 state.rate = rate
-        for link_id in event.links:
+                links.update(dict.fromkeys(state.links))
+        for link_id in links:
             self._sample_link(link_id, event.t)
 
     def _on_flow_finished(self, event: FlowFinished) -> None:
         self._observe_t(event.t)
-        self.flows.pop(event.flow_id, None)
-        for link_id in event.links:
+        state = self.flows.pop(event.flow_id, None)
+        if state is None:
+            return
+        for link_id in state.links:
             members = self._link_flows.get(link_id)
             if members is not None:
                 members.discard(event.flow_id)
-        for link_id in event.links:
+        for link_id in state.links:
             self._sample_link(link_id, event.t)
 
     def _on_queue_depth(self, event: StageQueueDepth) -> None:

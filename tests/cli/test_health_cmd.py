@@ -2,8 +2,44 @@
 
 import json
 
+import pytest
+
 from repro.cli import main
-from repro.telemetry.sinks import SCHEMA
+from repro.common.errors import ConfigError
+from repro.telemetry.sinks import SCHEMA, iter_jsonl_events
+
+# The event schema of ``repro-events/2`` spools: flow events that carried
+# their whole flow each, and a spool-able ``TelemetryEvent`` base.
+V2_TYPES = [
+    ["FlowFinished", ["t", "flow_id", "tag", "size", "links", "src", "dst",
+                      "started_at", "owner"]],
+    ["FlowStarted", ["t", "flow_id", "tag", "size", "links", "src", "dst",
+                     "nominal_bw", "owner", "capacities"]],
+    ["FlowsReallocated", ["t", "trigger", "flow_id", "component", "links",
+                          "rescheduled", "rates"]],
+    ["PlacementDecision", ["t", "policy", "workflow", "assignment"]],
+    ["PlaneInfo", ["t", "plane"]],
+    ["PoolAlloc", ["t", "device_id", "size", "reserved", "in_use", "grew",
+                   "requested_at"]],
+    ["PoolFree", ["t", "device_id", "size", "reserved", "in_use"]],
+    ["PoolTrim", ["t", "device_id", "released", "reserved", "in_use"]],
+    ["ReplicaOutstanding", ["t", "replica", "device_id", "outstanding"]],
+    ["RequestArrived", ["t", "request_id", "workflow"]],
+    ["RequestFinished", ["t", "request_id", "workflow", "latency",
+                         "slo_met"]],
+    ["StageQueueDepth", ["t", "stage", "depth"]],
+    ["StageSpan", ["t", "request_id", "stage", "kind", "start", "end",
+                   "device_id", "replica"]],
+    ["StoreEvict", ["t", "object_id", "src_device", "dst_device", "size"]],
+    ["StoreGet", ["t", "object_id", "device_id", "size", "category",
+                  "latency"]],
+    ["StorePut", ["t", "object_id", "device_id", "size", "placement"]],
+    ["TelemetryEvent", ["t"]],
+    ["TransferFinished", ["t", "transfer_id", "tag", "size", "src", "dst",
+                          "started_at", "owner"]],
+    ["TransferStarted", ["t", "transfer_id", "tag", "size", "src", "dst",
+                         "num_paths", "owner"]],
+]
 
 
 def run_health(tmp_path, *extra):
@@ -94,6 +130,23 @@ class TestHealthCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "different event schema" in err
+
+    def test_replay_of_repro_events_2_spool_exits_2(self, tmp_path, capsys):
+        spool = tmp_path / "v2.jsonl"
+        header = {"format": "repro-events/2", "types": V2_TYPES}
+        rows = [[4, 0, 0.0, "grouter"], [9, 0, 0.5, "req-0", "driving"]]
+        spool.write_text(json.dumps(header) + "\n" + json.dumps(rows) + "\n")
+        with pytest.raises(ConfigError, match="v2.jsonl has no "
+                           "repro-events/3 schema header"):
+            list(iter_jsonl_events(spool))
+        out = tmp_path / "health.json"
+        code = main(["health", "--replay", str(spool), "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+        assert "v2.jsonl" in err
 
     def test_replay_of_missing_spool_exits_2(self, tmp_path, capsys):
         out = tmp_path / "health.json"

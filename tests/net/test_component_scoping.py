@@ -4,9 +4,10 @@ These tests pin down the *mechanism*, not just end results: disjoint
 components must not touch each other's completion timers, a new flow
 must merge components, a cancel must split them, and exactly-unchanged
 rates must elide the timer reschedule.  Timer identity is observed
-through the ``Flow._timer`` ScheduledCall handles and the environment
-heap counters; component membership through ``FlowsReallocated``
-telemetry.
+through the ``Flow._timer`` ScheduledCall handles, the environment heap
+counters and the network's ``timer_reschedules``/``timer_elisions``;
+component membership through ``FlowsReallocated`` telemetry and the
+network's link states.
 """
 
 import pytest
@@ -15,7 +16,7 @@ from repro.common.units import MB
 from repro.net import FlowNetwork, Link, LinkKind
 from repro.sim import Environment
 from repro.telemetry import EventBus
-from repro.telemetry.events import FlowsReallocated
+from repro.telemetry.events import FlowsReallocated, FlowStarted
 
 
 def _link(link_id, src, dst, capacity=100 * MB):
@@ -30,16 +31,25 @@ def _capture_reallocs(env):
     return events
 
 
+def _flows_on(net, link_id):
+    """Ids of the flows the network has attached to *link_id*."""
+    return list(net._links[link_id].flows)
+
+
 class TestDisjointComponents:
     def test_start_does_not_reschedule_other_component(self):
         env = Environment()
         net = FlowNetwork(env, allocator="incremental")
         la, lb = _link("a", "s0", "d0"), _link("b", "s1", "d1")
-        events = _capture_reallocs(env)
+        env.telemetry = EventBus()
+        events = []
+        env.telemetry.subscribe(None, events.append)
 
         fa = net.start_flow([la], 10 * MB)
         timer_a = fa._timer
         assert timer_a is not None
+        realloc_flows = net.realloc_flows
+        reschedules = net.timer_reschedules
 
         fb = net.start_flow([lb], 10 * MB)
         # fa's pending completion timer is untouched: the very same
@@ -47,11 +57,20 @@ class TestDisjointComponents:
         assert fa._timer is timer_a
         assert not timer_a.cancelled
         assert env.stale_entries == 0
-        # The reallocation event for fb's start is scoped to fb alone.
-        assert events[-1].trigger == "start"
-        assert events[-1].component == (fb.flow_id,)
-        assert events[-1].links == ("b",)
-        assert fa.flow_id not in events[-1].rescheduled
+        # The reallocation for fb's start is scoped to fb alone: one
+        # flow recomputed, one timer armed (fb's).
+        assert net.realloc_flows == realloc_flows + 1
+        assert net.timer_reschedules == reschedules + 1
+        assert fb._timer is not None
+        assert _flows_on(net, "b") == [fb.flow_id]
+        # Alone in its component, fb's start carries its first rate and
+        # stands for the reallocation: no FlowsReallocated is published.
+        assert events[-1] == FlowStarted(
+            env.now, fb.flow_id, "", 10 * MB, ("b",), "s1", "d1", "",
+            (100 * MB,), fb.rate,
+        )
+        assert type(events[-1]) is FlowStarted
+        assert not any(type(e) is FlowsReallocated for e in events)
 
     def test_finish_does_not_reschedule_other_component(self):
         env = Environment()
@@ -79,9 +98,12 @@ class TestDisjointComponents:
         fa = net.start_flow([la], 10 * MB)
         fb = net.start_flow([lb], 10 * MB)
         # A two-hop flow crossing both links merges the components.
+        realloc_flows = net.realloc_flows
         fc = net.start_flow([la, lb], 10 * MB)
         assert events[-1].component == (fa.flow_id, fb.flow_id, fc.flow_id)
-        assert set(events[-1].links) == {"a", "b"}
+        assert net.realloc_flows == realloc_flows + 3
+        assert _flows_on(net, "a") == [fa.flow_id, fc.flow_id]
+        assert _flows_on(net, "b") == [fb.flow_id, fc.flow_id]
 
 
 class TestCancelScoping:
@@ -94,14 +116,15 @@ class TestCancelScoping:
         f2 = net.start_flow([link], 10 * MB)
         f3 = net.start_flow([link], 10 * MB)
         env.run(until=0.01)
+        published = len(events)
         net.cancel_flow(f2)
         f2.done.defuse()
-        cancel_events = [e for e in events if e.trigger == "cancel"]
+        cancel_events = events[published:]
         assert len(cancel_events) == 1
-        assert cancel_events[0].flow_id == f2.flow_id
         # The post-cancel recompute only covers the survivors.
         assert cancel_events[0].component == (f1.flow_id, f3.flow_id)
         assert f2.flow_id not in net._flows
+        assert _flows_on(net, "a") == [f1.flow_id, f3.flow_id]
 
     def test_cancel_splits_component(self):
         env = Environment()
@@ -112,15 +135,19 @@ class TestCancelScoping:
         fb = net.start_flow([lb], 100 * MB)
         bridge = net.start_flow([la, lb], 100 * MB)
         env.run(until=0.01)
+        published = len(events)
+        realloc_count = net.realloc_count
         net.cancel_flow(bridge)
         bridge.done.defuse()
         # Removing the bridge splits {fa, fb}: the scoped pass emits
-        # one recompute per surviving component.
-        cancel_events = [e for e in events if e.trigger == "cancel"]
+        # one recompute per surviving component, each on its own link.
+        cancel_events = events[published:]
         assert [e.component for e in cancel_events] == [
             (fa.flow_id,), (fb.flow_id,)
         ]
-        assert [e.links for e in cancel_events] == [("a",), ("b",)]
+        assert net.realloc_count == realloc_count + 2
+        assert _flows_on(net, "a") == [fa.flow_id]
+        assert _flows_on(net, "b") == [fb.flow_id]
 
     def test_cancelled_flow_timer_is_stale_not_rearmed(self):
         env = Environment()
@@ -148,6 +175,7 @@ class TestTimerElision:
         f2 = net.start_flow([link], 10 * MB, rate_cap=30 * MB)
         t1, t2 = f1._timer, f2._timer
         elisions_before = net.timer_elisions
+        reschedules_before = net.timer_reschedules
         events = _capture_reallocs(env)
         # ...so a newcomer capped at 40 MB/s changes nobody's rate.
         f3 = net.start_flow([link], 10 * MB, rate_cap=40 * MB)
@@ -156,7 +184,10 @@ class TestTimerElision:
         assert f1._timer is t1 and f2._timer is t2
         assert net.timer_elisions == elisions_before + 2
         assert events[-1].component == (f1.flow_id, f2.flow_id, f3.flow_id)
-        assert events[-1].rescheduled == (f3.flow_id,)
+        # Only the newcomer's timer was armed.
+        assert net.timer_reschedules == reschedules_before + 1
+        assert f3._timer is not None
+        assert f3._timer_at == env.now + 10 * MB / (40 * MB)
 
     def test_rate_change_does_reschedule(self):
         env = Environment()

@@ -14,7 +14,9 @@ freedom that carry no information:
 * a macro-flow publishes its per-batch decomposition when it resolves,
   so virtual events appear *late in publication order* with correct
   virtual timestamps (``t``) — consumers key on ``t``, and the streams
-  are compared in virtual-time order.
+  are compared in virtual-time order.  A ``FlowFinished`` carries only
+  its flow id, so it is compared with its ``FlowStarted``'s fields
+  joined in, which is what consumers join on too.
 
 The renumbering happens *after* the time-sort so both modes see the
 same first-occurrence order.  Arrival instants are drawn from
@@ -27,7 +29,6 @@ pinned: raw put/get probes on all four data planes, the Fig. 13 and
 Fig. 14 harnesses, and the ``repro profile`` blame decomposition.
 """
 
-import dataclasses
 import math
 import random
 
@@ -38,18 +39,27 @@ from repro.net import FlowNetwork, Link, LinkKind, Path, TransferEngine
 from repro.sim import Container, Environment
 from repro.telemetry import capture
 from repro.telemetry.bus import EventBus
+from repro.telemetry.events import FlowFinished, FlowStarted
 
 N_SEEDS = 30
 
-_ID_KEYS = ("flow_id", "transfer_id", "component", "rescheduled")
+_ID_KEYS = ("flow_id", "transfer_id", "component")
+_JOINED = ("tag", "size", "links", "src", "dst", "owner")
 
 
 def normalize_stream(events) -> list[dict]:
     """Canonical form of a telemetry stream for cross-mode comparison."""
     raw = []
+    started: dict = {}
     for event in events:
-        d = dataclasses.asdict(event)
+        d = event._asdict()
         d["_type"] = type(event).__name__
+        if type(event) is FlowStarted:
+            started[event.flow_id] = event
+        elif type(event) is FlowFinished:
+            start = started[event.flow_id]
+            d.update({key: getattr(start, key) for key in _JOINED})
+            d["started_at"] = start.t
         raw.append(d)
 
     def masked(d):
@@ -69,11 +79,10 @@ def normalize_stream(events) -> list[dict]:
             d["transfer_id"] = transfer_ids.setdefault(
                 d["transfer_id"], len(transfer_ids)
             )
-        for key in ("component", "rescheduled"):
-            if key in d and d[key] is not None:
-                d[key] = tuple(
-                    flow_ids.setdefault(x, len(flow_ids)) for x in d[key]
-                )
+        if "component" in d:
+            d["component"] = tuple(
+                flow_ids.setdefault(x, len(flow_ids)) for x in d["component"]
+            )
         out.append(d)
     return out
 

@@ -7,6 +7,7 @@ import pytest
 from repro.telemetry import export_chrome_trace, to_trace_events
 from repro.telemetry.events import (
     FlowFinished,
+    FlowStarted,
     PoolAlloc,
     RequestFinished,
     StageSpan,
@@ -16,11 +17,12 @@ from repro.telemetry.events import (
 
 def sample_events():
     return [
-        FlowFinished(
-            t=0.002, flow_id=0, tag="probe", size=1024.0,
+        FlowStarted(
+            t=0.001, flow_id=0, tag="probe", size=1024.0,
             links=("n0.g0>n0.sw0", "n0.sw0>n0.host"),
-            src="n0.g0", dst="n0.host", started_at=0.001,
+            src="n0.g0", dst="n0.host", capacities=(1e9, 1e9),
         ),
+        FlowFinished(t=0.002, flow_id=0),
         StorePut(
             t=0.002, object_id="obj-1", device_id="n0.host",
             size=1024.0, placement="host",
@@ -42,7 +44,7 @@ def sample_events():
 
 class TestConversion:
     def test_flow_emits_one_slice_per_link(self):
-        events = to_trace_events([sample_events()[0]])
+        events = to_trace_events(sample_events()[:2])
         slices = [e for e in events if e["ph"] == "X"]
         assert len(slices) == 2
         assert {s["tid"] for s in slices} == {
@@ -52,16 +54,27 @@ class TestConversion:
         assert slices[0]["pid"] == "n0"
         assert slices[0]["ts"] == 1000.0
         assert slices[0]["dur"] == 1000.0
+        # The finish is joined to its start for everything but the end.
+        assert slices[0]["name"] == "probe"
+        assert slices[0]["args"] == {
+            "size": 1024.0, "src": "n0.g0", "dst": "n0.host", "flow_id": 0,
+        }
+
+    def test_flow_draws_nothing_until_it_finishes(self):
+        started, finished = sample_events()[:2]
+        assert to_trace_events([started]) == []
+        # A finish whose start the converter never saw has nothing to draw.
+        assert to_trace_events([finished]) == []
 
     def test_stage_span_lands_on_its_device(self):
-        events = to_trace_events([sample_events()[3]])
+        events = to_trace_events([sample_events()[4]])
         span = next(e for e in events if e["ph"] == "X")
         assert span["pid"] == "n1"
         assert span["tid"] == "n1.g2"
         assert span["name"] == "unet-seg:exec"
 
     def test_pool_event_becomes_counter(self):
-        events = to_trace_events([sample_events()[2]])
+        events = to_trace_events([sample_events()[3]])
         counter = next(e for e in events if e["ph"] == "C")
         assert counter["args"] == {"reserved": 4096.0, "in_use": 1024.0}
 

@@ -28,24 +28,19 @@ from repro.telemetry.timeseries import EntitySeries, TimeSeriesStore
 def flow_started(t, flow_id, links=("l0",), capacities=(100.0,)):
     return FlowStarted(
         t=t, flow_id=flow_id, tag="f", size=50.0, links=tuple(links),
-        src="a", dst="b", nominal_bw=min(capacities), owner="",
-        capacities=tuple(capacities),
+        src="a", dst="b", owner="", capacities=tuple(capacities),
     )
 
 
-def reallocated(t, flow_id, rates, component=None, links=("l0",)):
+def reallocated(t, flow_id, rates, component=None):
     component = component if component is not None else (flow_id,)
     return FlowsReallocated(
-        t=t, trigger="start", flow_id=flow_id, component=tuple(component),
-        links=tuple(links), rescheduled=tuple(component), rates=tuple(rates),
+        t=t, component=tuple(component), rates=tuple(rates),
     )
 
 
-def flow_finished(t, flow_id, links=("l0",)):
-    return FlowFinished(
-        t=t, flow_id=flow_id, tag="f", size=50.0, links=tuple(links),
-        src="a", dst="b", started_at=0.0, owner="",
-    )
+def flow_finished(t, flow_id):
+    return FlowFinished(t=t, flow_id=flow_id)
 
 
 def queue_series(values):
@@ -81,8 +76,8 @@ class TestDetectors:
         store = TimeSeriesStore()
         links = (link,)
         store.feed(flow_started(0.0, 1, links=links))
-        store.feed(reallocated(0.0, 1, (80.0,), links=links))   # util 0.8
-        store.feed(reallocated(1.0, 1, (0.0,), links=links))    # util 0.0
+        store.feed(reallocated(0.0, 1, (80.0,)))   # util 0.8
+        store.feed(reallocated(1.0, 1, (0.0,)))    # util 0.0
         hit = detect_utilization_collapse(
             store.get(f"link.util.{link}"), store
         )

@@ -84,25 +84,32 @@ class TestSpanTreeBuilder:
         builder = SpanTreeBuilder()
         builder.feed(RequestArrived(t=0.0, request_id="r0",
                                     workflow="driving"))
+        # A lone start carries its first rate epoch.
         builder.feed(FlowStarted(
             t=0.0, flow_id=7, tag="gfn-gfn-intra", size=100.0,
-            links=("l0",), src="a", dst="b", nominal_bw=100.0, owner="r0",
+            links=("l0", "l1"), src="a", dst="b", owner="r0",
+            capacities=(300.0, 100.0), rate=100.0,
         ))
         builder.feed(FlowsReallocated(
-            t=0.0, trigger="start", flow_id=7, component=(7,),
-            links=("l0",), rescheduled=(7,), rates=(100.0,),
+            t=0.5, component=(7,), rates=(50.0,),
         ))
-        builder.feed(FlowsReallocated(
-            t=0.5, trigger="start", flow_id=8, component=(7,),
-            links=("l0",), rescheduled=(7,), rates=(50.0,),
-        ))
-        builder.feed(FlowFinished(
-            t=1.5, flow_id=7, tag="gfn-gfn-intra", size=100.0,
-            links=("l0",), src="a", dst="b", started_at=0.0, owner="r0",
-        ))
+        builder.feed(FlowFinished(t=1.5, flow_id=7))
         record = builder.flows[7]
         assert builder.requests["r0"].flow_ids == [7]
+        assert record.nominal_bw == 100.0  # the bottleneck capacity
         assert record.epochs() == [(0.0, 0.5, 100.0), (0.5, 1.5, 50.0)]
+
+    def test_shared_start_waits_for_its_reallocation(self):
+        builder = SpanTreeBuilder()
+        builder.feed(FlowStarted(
+            t=0.25, flow_id=3, tag="", size=10.0, links=("l0",), src="a",
+            dst="b", capacities=(10.0,),
+        ))
+        assert builder.flows[3].rate_points == []
+        builder.feed(FlowsReallocated(
+            t=0.25, component=(2, 3), rates=(5.0, 5.0),
+        ))
+        assert builder.flows[3].rate_points == [(0.25, 5.0)]
 
     def test_same_time_rate_point_overwrites_previous(self):
         # A flow start triggers a reallocation at the same instant the
@@ -117,8 +124,7 @@ class TestSpanTreeBuilder:
         builder = SpanTreeBuilder()
         builder.flows[1] = record
         builder.feed(FlowsReallocated(
-            t=0.0, trigger="start", flow_id=2, component=(1,),
-            links=("l0",), rescheduled=(1,), rates=(2.0,),
+            t=0.0, component=(1,), rates=(2.0,),
         ))
         assert record.rate_points[-1] == (0.0, 2.0)
         assert record.epochs() == [(0.0, 1.0, 2.0)]

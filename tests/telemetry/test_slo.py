@@ -3,7 +3,6 @@
 import pytest
 
 from repro.common.errors import ConfigError
-from repro.telemetry import EventBus
 from repro.telemetry.events import (
     RequestArrived,
     RequestFinished,
@@ -153,16 +152,6 @@ class TestSloBoard:
         board.feed(RequestFinished(t=1.0, request_id="r1", workflow="wf",
                                    latency=1.0, slo_met=None))
         assert not board._pending
-
-    def test_bus_attach_detach(self):
-        bus = EventBus()
-        board = SloBoard().attach(bus)
-        bus.publish(RequestFinished(t=1.0, request_id="r1", workflow="wf",
-                                    latency=1.0, slo_met=None))
-        board.detach()
-        bus.publish(RequestFinished(t=2.0, request_id="r2", workflow="wf",
-                                    latency=1.0, slo_met=None))
-        assert board.trackers["latency"].total == 1
 
     def test_episode_count_property(self):
         board = SloBoard(default_specs(latency_s=0.1, objective=0.9,

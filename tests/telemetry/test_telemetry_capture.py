@@ -1,5 +1,8 @@
 """End-to-end telemetry capture over real simulation runs."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.dataplane import make_plane
@@ -94,6 +97,20 @@ class TestCapture:
         assert doc["traceEvents"]
         for event in doc["traceEvents"]:
             assert {"ph", "ts", "pid", "tid"} <= set(event)
+
+    def test_closed_session_lets_go_of_the_run(self):
+        # A finished run is cyclic garbage; a closed session must not
+        # hang off it, or its registry lives until a full collection.
+        gc.disable()
+        try:
+            with capture() as session:
+                env, _result = run_workflow()
+            assert env.telemetry.subscriber_count == 0
+            registry = weakref.ref(session.metrics)
+            del session
+            assert registry() is None
+        finally:
+            gc.enable()
 
 
 class TestRecorderHelpers:

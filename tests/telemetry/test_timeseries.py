@@ -3,7 +3,6 @@
 import pytest
 
 from repro.common.errors import ConfigError
-from repro.telemetry import EventBus
 from repro.telemetry.events import (
     FlowFinished,
     FlowsReallocated,
@@ -15,26 +14,22 @@ from repro.telemetry.events import (
 from repro.telemetry.timeseries import EntitySeries, TimeSeriesStore
 
 
-def flow_started(t, flow_id, links=("l0",), capacities=(100.0,), size=50.0):
+def flow_started(t, flow_id, links=("l0",), capacities=(100.0,), size=50.0,
+                 rate=None):
     return FlowStarted(
         t=t, flow_id=flow_id, tag="f", size=size, links=tuple(links),
-        src="a", dst="b", nominal_bw=min(capacities), owner="",
-        capacities=tuple(capacities),
+        src="a", dst="b", owner="", capacities=tuple(capacities), rate=rate,
     )
 
 
-def reallocated(t, flow_id, component, rates, links=("l0",)):
+def reallocated(t, component, rates):
     return FlowsReallocated(
-        t=t, trigger="start", flow_id=flow_id, component=tuple(component),
-        links=tuple(links), rescheduled=tuple(component), rates=tuple(rates),
+        t=t, component=tuple(component), rates=tuple(rates),
     )
 
 
-def flow_finished(t, flow_id, links=("l0",), size=50.0):
-    return FlowFinished(
-        t=t, flow_id=flow_id, tag="f", size=size, links=tuple(links),
-        src="a", dst="b", started_at=0.0, owner="",
-    )
+def flow_finished(t, flow_id):
+    return FlowFinished(t=t, flow_id=flow_id)
 
 
 class TestEntitySeries:
@@ -90,15 +85,15 @@ class TestTimeSeriesStore:
     def test_link_utilization_from_stream(self):
         store = TimeSeriesStore()
         store.feed(flow_started(0.0, 1, capacities=(100.0,)))
-        store.feed(reallocated(0.0, 1, (1,), (50.0,)))
+        store.feed(reallocated(0.0, (1,), (50.0,)))
         util = store.get("link.util.l0")
         assert util.last_value == pytest.approx(0.5)
         store.feed(flow_started(1.0, 2, capacities=(100.0,)))
-        store.feed(reallocated(1.0, 2, (1, 2), (50.0, 50.0)))
+        store.feed(reallocated(1.0, (1, 2), (50.0, 50.0)))
         assert util.last_value == pytest.approx(1.0)
         assert store.get("link.flows.l0").last_value == 2.0
         store.feed(flow_finished(2.0, 1))
-        store.feed(reallocated(2.0, 1, (2,), (100.0,)))
+        store.feed(reallocated(2.0, (2,), (100.0,)))
         assert util.last_value == pytest.approx(1.0)
         store.feed(flow_finished(3.0, 2))
         assert util.last_value == 0.0
@@ -140,33 +135,36 @@ class TestTimeSeriesStore:
             "queue.depth.a", "queue.depth.b"
         ]
 
-    def test_bus_attach_detach(self):
-        bus = EventBus()
-        store = TimeSeriesStore().attach(bus)
-        bus.publish(StageQueueDepth(t=0.0, stage="s", depth=5))
-        assert store.get("queue.depth.s").last_value == 5.0
-        store.detach()
-        bus.publish(StageQueueDepth(t=1.0, stage="s", depth=9))
-        assert store.get("queue.depth.s").last_value == 5.0
+    def test_lone_start_stands_for_its_reallocation(self):
+        folded = TimeSeriesStore()
+        folded.feed(flow_started(1.0, 9))
+        folded.feed(flow_started(0.5, 1, links=("l0", "l1"),
+                                 capacities=(100.0, 200.0), rate=50.0))
+        split = TimeSeriesStore()
+        split.feed(flow_started(1.0, 9))
+        split.feed(flow_started(0.5, 1, links=("l0", "l1"),
+                                capacities=(100.0, 200.0)))
+        split.feed(reallocated(0.5, (1,), (50.0,)))
+        # Both stream points count as virtual-time replays, and each
+        # link gets both samples: the start's and the rate's.
+        for store in (folded, split):
+            assert store.get("net.virtual_replays").last_value == 2.0
+            assert store.get("link.util.l1").last_value == 0.25
+            assert store.get("link.util.l1").total_samples == 2
+            assert store.flows[1].rate == 50.0
 
-    def test_live_and_feed_paths_match(self):
-        events = [
-            flow_started(0.0, 1),
-            reallocated(0.0, 1, (1,), (75.0,)),
-            StageQueueDepth(t=0.5, stage="s", depth=2),
-            flow_finished(1.0, 1),
-        ]
-        bus = EventBus()
-        live = TimeSeriesStore().attach(bus)
-        for event in events:
-            bus.publish(event)
-        live.detach()
-        replayed = TimeSeriesStore()
-        for event in events:
-            replayed.feed(event)
-        assert live.names() == replayed.names()
-        for name in live.names():
-            assert list(live.series[name].times) == \
-                list(replayed.series[name].times)
-            assert list(live.series[name].values) == \
-                list(replayed.series[name].values)
+    def test_reallocation_samples_its_members_paths(self):
+        store = TimeSeriesStore()
+        store.feed(flow_started(0.0, 1, links=("a", "b"),
+                                capacities=(100.0, 100.0)))
+        store.feed(flow_started(0.0, 2, links=("b", "c"),
+                                capacities=(100.0, 100.0)))
+        store.feed(reallocated(1.0, (1, 2), (30.0, 70.0)))
+        assert store.get("link.util.a").last_value == pytest.approx(0.3)
+        assert store.get("link.util.b").last_value == pytest.approx(1.0)
+        assert store.get("link.util.c").last_value == pytest.approx(0.7)
+        # A finish is joined to its start: only its own links resample.
+        store.feed(flow_finished(2.0, 1))
+        assert store.get("link.flows.a").last_value == 0.0
+        assert store.get("link.flows.b").last_value == 1.0
+        assert store.get("link.util.c").last_t == 1.0
