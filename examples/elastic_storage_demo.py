@@ -45,20 +45,15 @@ def run(eviction_policy, proactive_restore):
 def describe(label, plane, results):
     recorder = LatencyRecorder()
     recorder.extend([r.latency for r in results])
-    migrations = [
-        r for r in plane.metrics.records if r.category == CAT_MIGRATION
-    ]
-    restores = [
-        r for r in plane.metrics.records if r.category == CAT_RESTORE
-    ]
+    transfers = plane.metrics.transfers
     pool_peak = sum(p.peak_reserved for p in plane.pools.values())
     pool_now = plane.total_pool_reserved()
     print(f"[{label}]")
     print(f"  completed      : {len(results)} requests")
     print(f"  P99 latency    : {fmt_time(recorder.p99)}")
-    print(f"  migrations     : {len(migrations)} "
-          f"({sum(m.size for m in migrations) / MB:.0f} MB to host)")
-    print(f"  restores       : {len(restores)}")
+    print(f"  migrations     : {transfers.get(CAT_MIGRATION, 0)} "
+          f"({plane.metrics.bytes_moved(CAT_MIGRATION) / MB:.0f} MB to host)")
+    print(f"  restores       : {transfers.get(CAT_RESTORE, 0)}")
     print(f"  pool peak/now  : {pool_peak / GB:.2f} GB / {pool_now / GB:.2f} GB")
     print()
 

@@ -18,14 +18,20 @@ re-exports the pieces most users need; subpackages hold the substrates:
 - :mod:`repro.experiments` — one module per paper table/figure
 - :mod:`repro.telemetry` — event bus, metrics, Perfetto export, and the
   request profiler (span trees, critical paths, Gantt charts)
-- :mod:`repro.analysis`, :mod:`repro.report` — bootstrap statistics,
-  table rendering
+- :mod:`repro.report` — table rendering (text, CSV, JSON)
 - :mod:`repro.cli` — ``python -m repro`` entry point
 
 Quick start::
 
-    from repro import quickstart
-    env, cluster, plane, platform = quickstart("grouter")
+    from repro.platform import build_platform
+    from repro.traces import make_trace
+    from repro.workflow import get_workload
+
+    platform = build_platform(plane_name="grouter")
+    deployment = platform.deploy(get_workload("driving"))
+    results = platform.run_trace(
+        deployment, make_trace("bursty", rate=4.0, duration=8.0)
+    )
 """
 
 from repro.dataplane import PLANES, make_plane
@@ -46,19 +52,4 @@ __all__ = [
     "make_cluster",
     "make_plane",
     "make_trace",
-    "quickstart",
 ]
-
-
-def quickstart(
-    plane_name: str = "grouter",
-    preset: str = "dgx-v100",
-    num_nodes: int = 1,
-    **plane_kwargs,
-):
-    """Build a ready-to-use (env, cluster, plane, platform) stack."""
-    env = Environment()
-    cluster = make_cluster(preset, num_nodes=num_nodes)
-    plane = make_plane(plane_name, env, cluster, **plane_kwargs)
-    platform = ServerlessPlatform(env, cluster, plane)
-    return env, cluster, plane, platform

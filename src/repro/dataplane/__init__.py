@@ -13,7 +13,6 @@ from repro.dataplane.base import (
     DataPlane,
     GetResult,
     PlaneMetrics,
-    TransferRecord,
 )
 from repro.dataplane.deepplan import DeepPlanPlane
 from repro.dataplane.grouter import GRouterPlane, QueueOracle
@@ -49,7 +48,6 @@ __all__ = [
     "DataPlane",
     "GetResult",
     "PlaneMetrics",
-    "TransferRecord",
     "DeepPlanPlane",
     "GRouterPlane",
     "QueueOracle",

@@ -69,79 +69,38 @@ class QueueOracle(Protocol):
 
 
 @dataclass
-class TransferRecord:
-    """One completed data movement, for experiment accounting."""
-
-    category: str
-    size: float
-    started_at: float
-    finished_at: float
-    src: str
-    dst: str
-    copies: int = 1
-
-    @property
-    def latency(self) -> float:
-        return self.finished_at - self.started_at
-
-
-@dataclass
 class PlaneMetrics:
     """Counters a data plane accumulates while serving Put/Get.
 
-    ``records`` holds one :class:`TransferRecord` per completed
-    movement for experiment accounting (latency percentiles by
-    category).  That list is the one per-request structure a plane
-    grows without bound, so streaming runs
-    (``ServerlessPlatform(keep_results=False)``) set
-    ``keep_records=False``: counters and byte totals stay exact, the
-    per-transfer records are dropped (counted in ``dropped_records``),
-    and :meth:`latencies` raises rather than silently returning a
-    truncated distribution.
+    ``transfers`` and ``category_bytes`` count the completed data
+    movements and their bytes per transfer category (Fig. 3's
+    breakdown).  Nothing here grows with request count, so streaming
+    runs keep every counter exact.
     """
 
     puts: int = 0
     gets: int = 0
-    copies: int = 0
     control_ops: int = 0
     admission_spills: int = 0
-    keep_records: bool = True
-    dropped_records: int = 0
-    records: list[TransferRecord] = field(default_factory=list)
-    _category_bytes: dict = field(default_factory=dict)
+    transfers: dict[str, int] = field(default_factory=dict)
+    category_bytes: dict[str, float] = field(default_factory=dict)
 
-    def record(self, record: TransferRecord) -> None:
-        if self.keep_records:
-            self.records.append(record)
-        else:
-            self.dropped_records += 1
-        self.copies += record.copies
-        self._category_bytes[record.category] = (
-            self._category_bytes.get(record.category, 0.0) + record.size
+    def record(self, category: str, size: float) -> None:
+        """Count one completed movement of *size* bytes."""
+        self.transfers[category] = self.transfers.get(category, 0) + 1
+        self.category_bytes[category] = (
+            self.category_bytes.get(category, 0.0) + size
         )
 
-    def latencies(self, category: Optional[str] = None) -> list[float]:
-        if self.dropped_records:
-            raise RuntimeError(
-                "per-transfer records were dropped (keep_records=False); "
-                "latency distributions are unavailable on streaming runs"
-            )
-        return [
-            r.latency
-            for r in self.records
-            if category is None or r.category == category
-        ]
+    @property
+    def copies(self) -> int:
+        """Completed data movements in every category."""
+        return sum(self.transfers.values())
 
     def bytes_moved(self, category: Optional[str] = None) -> float:
-        if not self.keep_records:
-            if category is None:
-                return sum(self._category_bytes.values())
-            return self._category_bytes.get(category, 0.0)
-        return sum(
-            r.size
-            for r in self.records
-            if category is None or r.category == category
-        )
+        if category is None:
+            return sum(self.category_bytes.values())
+        return self.category_bytes.get(category, 0.0)
 
 
 @dataclass
@@ -394,17 +353,13 @@ class DataPlane(abc.ABC):
         paths: list[Path],
         size: float,
         category: str,
-        src: str,
-        dst: str,
-        copies: int = 1,
         min_rate: float = 0.0,
         slo_deadline: Optional[float] = None,
         chunked: Optional[bool] = None,
         pinned_node: Optional[str] = None,
         owner: str = "",
     ):
-        """Generator: execute a transfer and record it in metrics."""
-        started = self.env.now
+        """Generator: execute a transfer and count it in metrics."""
         use_chunked = self.chunked if chunked is None else chunked
         pinned = self.pinned[pinned_node] if pinned_node is not None else None
         yield self.engine.transfer(
@@ -417,17 +372,7 @@ class DataPlane(abc.ABC):
             tag=category,
             owner=owner,
         )
-        self.metrics.record(
-            TransferRecord(
-                category=category,
-                size=size,
-                started_at=started,
-                finished_at=self.env.now,
-                src=src,
-                dst=dst,
-                copies=copies,
-            )
-        )
+        self.metrics.record(category, size)
 
     def _store_on_gpu(self, obj: DataObject, gpu_device_id: str):
         """Generator: hold obj bytes on a GPU store (pool alloc time)."""
@@ -573,8 +518,6 @@ class DataPlane(abc.ABC):
             [self._direct_host_path(node, gpu, "to_host")],
             obj.size,
             CAT_MIGRATION,
-            src=gpu_device_id,
-            dst=node.host.device_id,
             pinned_node=node.node_id,
         )
         # The object may have been consumed (and destroyed) while the

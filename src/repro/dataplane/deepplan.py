@@ -38,8 +38,6 @@ class DeepPlanPlane(NvshmemPlane):
             paths,
             size,
             CAT_GFN_HOST,
-            src=node.host.device_id,
-            dst=gpu.device_id,
             chunked=True,
             pinned_node=node.node_id,
             owner=ctx.request_id,
@@ -52,8 +50,6 @@ class DeepPlanPlane(NvshmemPlane):
             paths,
             size,
             CAT_GFN_HOST,
-            src=gpu.device_id,
-            dst=node.host.device_id,
             chunked=True,
             pinned_node=node.node_id,
             owner=ctx.request_id,

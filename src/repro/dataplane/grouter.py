@@ -177,8 +177,6 @@ class GRouterPlane(DataPlane):
                 [path],
                 size,
                 CAT_GFN_GFN_INTRA,
-                src=ctx.device_id,
-                dst=storage_device,
                 **self._transfer_kwargs(ctx, size),
             )
         if placed == storage_device:
@@ -242,8 +240,6 @@ class GRouterPlane(DataPlane):
                 [self._host_to_host_path(src_node, ctx.node)],
                 obj.size,
                 "host-host",
-                src=src_node.host.device_id,
-                dst=ctx.node.host.device_id,
                 owner=ctx.request_id,
             )
             # Concurrent gets of the same remote object both pay for the
@@ -262,8 +258,6 @@ class GRouterPlane(DataPlane):
             paths,
             obj.size,
             CAT_GFN_HOST,
-            src=ctx.node.host.device_id,
-            dst=ctx.device_id,
             pinned_node=ctx.node.node_id,
             **self._transfer_kwargs(ctx, obj.size),
         )
@@ -277,8 +271,6 @@ class GRouterPlane(DataPlane):
             paths,
             size,
             CAT_GFN_HOST,
-            src=src_gpu.device_id,
-            dst=node.host.device_id,
             pinned_node=node.node_id,
             **self._transfer_kwargs(ctx, size),
         )
@@ -298,8 +290,6 @@ class GRouterPlane(DataPlane):
             paths,
             size,
             CAT_GFN_GFN_INTRA,
-            src=src_gpu.device_id,
-            dst=ctx.device_id,
             **self._transfer_kwargs(ctx, size),
         )
 
@@ -320,8 +310,6 @@ class GRouterPlane(DataPlane):
             paths,
             size,
             CAT_GFN_GFN_CROSS,
-            src=src_gpu.device_id,
-            dst=ctx.device_id,
             **self._transfer_kwargs(ctx, size),
         )
 
@@ -338,8 +326,6 @@ class GRouterPlane(DataPlane):
             paths,
             obj.size,
             CAT_MIGRATION,
-            src=gpu_device_id,
-            dst=node.host.device_id,
             pinned_node=node.node_id,
         )
         # Consumed while the copy was in flight: nothing left to move.
@@ -383,8 +369,6 @@ class GRouterPlane(DataPlane):
                     paths,
                     obj.size,
                     CAT_RESTORE,
-                    src=node.host.device_id,
-                    dst=origin,
                     pinned_node=node.node_id,
                 )
                 if obj.deleted or not host_store.has(obj.object_id):

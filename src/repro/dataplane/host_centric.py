@@ -35,8 +35,6 @@ class HostCentricPlane(DataPlane):
                 [path],
                 size,
                 CAT_GFN_HOST,
-                src=ctx.device_id,
-                dst=ctx.node.host.device_id,
                 pinned_node=ctx.node.node_id,
                 owner=ctx.request_id,
             )
@@ -60,8 +58,6 @@ class HostCentricPlane(DataPlane):
                 [path],
                 obj.size,
                 CAT_HOST_HOST,
-                src=src_node.host.device_id,
-                dst=ctx.node.host.device_id,
                 owner=ctx.request_id,
             )
             self.host_stores[node_id].remove(obj)
@@ -74,8 +70,6 @@ class HostCentricPlane(DataPlane):
                 [path],
                 obj.size,
                 CAT_GFN_HOST,
-                src=ctx.node.host.device_id,
-                dst=ctx.device_id,
                 pinned_node=ctx.node.node_id,
                 owner=ctx.request_id,
             )

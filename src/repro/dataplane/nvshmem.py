@@ -103,8 +103,6 @@ class NvshmemPlane(DataPlane):
             [self._direct_host_path(node, gpu, "from_host")],
             size,
             CAT_GFN_HOST,
-            src=node.host.device_id,
-            dst=gpu.device_id,
             pinned_node=node.node_id,
             owner=ctx.request_id,
         )
@@ -115,8 +113,6 @@ class NvshmemPlane(DataPlane):
             [self._direct_host_path(node, gpu, "to_host")],
             size,
             CAT_GFN_HOST,
-            src=gpu.device_id,
-            dst=node.host.device_id,
             pinned_node=node.node_id,
             owner=ctx.request_id,
         )
@@ -146,8 +142,6 @@ class NvshmemPlane(DataPlane):
                     [path],
                     size,
                     CAT_GFN_GFN_INTRA,
-                    src=ctx.device_id,
-                    dst=storage_gpu.device_id,
                     owner=ctx.request_id,
                 )
         self.catalog.register(obj, ctx.node.node_id)
@@ -187,8 +181,6 @@ class NvshmemPlane(DataPlane):
                 [path],
                 obj.size,
                 CAT_GFN_GFN_INTRA,
-                src=gpu_device,
-                dst=ctx.device_id,
                 owner=ctx.request_id,
             )
             source, category = gpu_device, CAT_GFN_GFN_INTRA
@@ -214,8 +206,6 @@ class NvshmemPlane(DataPlane):
                     [self._host_to_host_path(src_node, ctx.node)],
                     obj.size,
                     CAT_GFN_GFN_CROSS,
-                    src=src_node.host.device_id,
-                    dst=ctx.node.host.device_id,
                     owner=ctx.request_id,
                 )
                 self.host_stores[src_node_id].remove(obj)
@@ -231,8 +221,6 @@ class NvshmemPlane(DataPlane):
             [path],
             obj.size,
             CAT_GFN_GFN_CROSS,
-            src=src_device,
-            dst=dst_storage.device_id,
             owner=ctx.request_id,
         )
         self.gpu_stores[src_device].remove(obj)

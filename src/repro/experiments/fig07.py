@@ -70,17 +70,14 @@ def run_forced_eviction(
         deployment = testbed.platform.deploy(get_workload("driving"))
         trace = make_trace("bursty", rate=rate, duration=duration, seed=1)
         results = testbed.platform.run_trace(deployment, trace)
-        migrations = [
-            r for r in testbed.plane.metrics.records
-            if r.category == CAT_MIGRATION
-        ]
+        metrics = testbed.plane.metrics
         latencies = sorted(r.latency for r in results)
         p99 = latencies[int(0.99 * (len(latencies) - 1))] if latencies else 0
         table.add(
             storage_limit_fraction=fraction,
-            migrations=len(migrations),
-            admission_spills=testbed.plane.metrics.admission_spills,
-            migrated_gb=sum(m.size for m in migrations) / GB,
+            migrations=metrics.transfers.get(CAT_MIGRATION, 0),
+            admission_spills=metrics.admission_spills,
+            migrated_gb=metrics.bytes_moved(CAT_MIGRATION) / GB,
             p99_latency_ms=p99 * 1e3,
         )
     return table

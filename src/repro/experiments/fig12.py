@@ -2,8 +2,7 @@
 
 The paper's Fig. 12 catalogs the six real-world inference workflows and
 their DAG patterns (sequence, condition, fan-in, fan-out).  This module
-reproduces it as a structural table plus Graphviz DOT renderings of
-every workflow.
+reproduces it as a structural table.
 """
 
 from __future__ import annotations
@@ -61,9 +60,3 @@ def run() -> ExperimentTable:
     )
     return table
 
-
-def render_all_dot() -> dict[str, str]:
-    """DOT source for every CV workflow, keyed by name."""
-    return {
-        name: get_workload(name).workflow.to_dot() for name in WORKLOADS
-    }

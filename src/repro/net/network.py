@@ -1298,34 +1298,17 @@ class FlowNetwork:
             if flow.slo_deadline is not None and flow.slo_deadline > now
         ]
         pending.sort(key=lambda f: (f.slo_deadline, f.arrival_order, f.flow_id))
-        # Saturated-link short-circuit: a flow whose path crosses a
-        # zero-residual link can only be granted <= _EPS (its headroom
-        # min is bounded by that link), which the grant check below
-        # would discard anyway — skip the O(path) headroom scan.  The
-        # set is maintained as grants consume residuals.
-        saturated = (
-            {lid for lid, res in residual.items() if res <= _EPS}
-            if pending
-            else set()
-        )
         for flow in pending:
-            slack = (flow.slo_deadline - now) * self._SLO_SLACK_TARGET
-            target_rate = flow.remaining / max(slack, _EPS)
-            want = min(target_rate, flow.rate_cap) - rates[flow]
-            if want <= _EPS:
-                continue
-            if any(link.link_id in saturated for link in flow.path):
-                continue
-            headroom = min(residual[link.link_id] for link in flow.path)
-            grant = min(want, headroom)
-            if grant <= _EPS:
-                continue
-            rates[flow] += grant
-            for link in flow.path:
-                lid = link.link_id
-                residual[lid] -= grant
-                if residual[lid] <= _EPS:
-                    saturated.add(lid)
+            grant = self._slo_grant(
+                flow,
+                rates[flow],
+                min(residual[link.link_id] for link in flow.path),
+                now,
+            )
+            if grant:
+                rates[flow] += grant
+                for link in flow.path:
+                    residual[link.link_id] -= grant
         # Work conservation: leftovers shared max-min among everyone.
         self._fill_maxmin(flows, rates, residual)
 

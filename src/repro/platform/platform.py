@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from repro.common.errors import SchedulingError
 from repro.common.units import MS
@@ -66,7 +66,7 @@ from repro.storage.objects import DataRef
 from repro.topology.cluster import ClusterTopology
 from repro.topology.devices import Gpu
 from repro.topology.node import PCIE3_BW
-from repro.traces.azure import Trace
+from repro.traces.azure import ArrivalStream, Trace
 from repro.workflow.dag import Stage, Workflow, WorkloadSpec
 
 __all__ = [
@@ -198,11 +198,6 @@ class ServerlessPlatform:
         # experiments assert on.
         self.result_sink = result_sink
         self.keep_results = keep_results
-        if not keep_results:
-            # The plane's per-transfer accounting records are the other
-            # per-request list; a streaming run drops them too (exact
-            # byte/copy counters survive, latency distributions do not).
-            plane.metrics.keep_records = False
         self.results: list[RequestResult] = []
         self.completed_count = 0
         # Every arrival is admitted, so this stays 0; perfbench's
@@ -610,91 +605,80 @@ class ServerlessPlatform:
         Only requests that completed within the horizon appear in the
         returned list.
         """
-        procs: list[Process] = []
-
-        def driver():
-            for arrival in trace:
-                if arrival > self.env.now:
-                    yield self.env.timeout(arrival - self.env.now)
-                procs.append(self.submit(deployment))
-
-        self.env.process(driver())
-        horizon = self.env.now + trace.config.duration + drain
-        self.env.run(until=horizon)
-        return [p.value for p in procs if p.triggered and p.ok]
+        return self.run_traces([(deployment, trace)], drain)[
+            deployment.workflow_id
+        ]
 
     def run_trace_streaming(
         self,
         deployment: Deployment,
-        trace: Union[Trace, Iterable[float]],
+        trace: Union[Trace, ArrivalStream],
         drain: float = 60.0,
     ) -> int:
         """Replay *trace* without retaining per-request state.
 
-        The bounded-memory counterpart of :meth:`run_trace`: arrivals
-        may come from any iterable (typically a generator-backed
-        :class:`~repro.traces.ArrivalStream`, so no arrival array is
-        materialized), per-request :class:`Process` handles are not
-        kept, and completed results reach only :attr:`result_sink`.
-        Callers who want the results list anyway can leave
-        ``keep_results=True``; the streaming harness sets it False.
-        Returns the number of requests submitted; completions are
-        available as :attr:`completed_count`.
+        The bounded-memory counterpart of :meth:`run_trace`: *trace* is
+        typically a generator-backed :class:`~repro.traces.ArrivalStream`,
+        so no arrival array is materialized, per-request
+        :class:`Process` handles are not kept, and completed results
+        reach only :attr:`result_sink` (and :attr:`results` unless
+        ``keep_results=False``).  Returns the number of requests
+        submitted; completions are counted in :attr:`completed_count`.
         """
-        submitted = 0
-        config = getattr(trace, "config", None)
-        duration = config.duration if config is not None else None
-
-        def driver():
-            nonlocal submitted
-            last_arrival = self.env.now
-            for arrival in trace:
-                if arrival > self.env.now:
-                    yield self.env.timeout(arrival - self.env.now)
-                last_arrival = self.env.now
-                self.submit(deployment)
-                submitted += 1
-            if duration is None:
-                # No config to bound the horizon: idle out the drain
-                # window after the last arrival instead.
-                yield self.env.timeout(
-                    max(last_arrival + drain - self.env.now, 0.0)
-                )
-
-        self.env.process(driver())
-        if duration is not None:
-            self.env.run(until=self.env.now + duration + drain)
-        else:
-            self.env.run()
-        return submitted
+        return self._replay([(deployment, trace)], drain)
 
     def run_traces(
         self,
         runs: list[tuple[Deployment, Trace]],
         drain: float = 60.0,
     ) -> dict[str, list[RequestResult]]:
-        """Replay several traces concurrently (interference studies)."""
-        all_procs: dict[str, list[Process]] = {}
+        """Replay several traces concurrently (interference studies).
 
-        def driver(deployment, trace):
-            start = self.env.now
-            procs = all_procs.setdefault(deployment.workflow_id, [])
+        Returns each workflow's completed results, keyed by workflow id.
+        """
+        procs: dict[str, list[Process]] = {}
+        self._replay(runs, drain, procs)
+        return {
+            wf: [p.value for p in kept if p.triggered and p.ok]
+            for wf, kept in procs.items()
+        }
+
+    def _replay(
+        self,
+        runs: Sequence[tuple[Deployment, Union[Trace, ArrivalStream]]],
+        drain: float,
+        procs: Optional[dict[str, list[Process]]] = None,
+    ) -> int:
+        """Submit every run's arrivals, offset from now, and run the clock.
+
+        The clock stops *drain* seconds after the longest trace's
+        configured duration.  With *procs*, each request's process is
+        appended to ``procs[workflow_id]``.  Returns the number of
+        requests submitted.
+        """
+        start = self.env.now
+        submitted = 0
+
+        def driver(deployment, trace, kept):
+            nonlocal submitted
             for arrival in trace:
                 target = start + arrival
                 if target > self.env.now:
                     yield self.env.timeout(target - self.env.now)
-                procs.append(self.submit(deployment))
+                process = self.submit(deployment)
+                submitted += 1
+                if kept is not None:
+                    kept.append(process)
 
         for deployment, trace in runs:
-            self.env.process(driver(deployment, trace))
-        horizon = self.env.now + max(
-            trace.config.duration for _d, trace in runs
-        ) + drain
-        self.env.run(until=horizon)
-        return {
-            wf: [p.value for p in procs if p.triggered and p.ok]
-            for wf, procs in all_procs.items()
-        }
+            kept = (
+                None if procs is None
+                else procs.setdefault(deployment.workflow_id, [])
+            )
+            self.env.process(driver(deployment, trace, kept))
+        horizon = start + max(trace.config.duration for _d, trace in runs)
+        self.env.run(until=horizon + drain)
+        return submitted
 
 
 def build_platform(

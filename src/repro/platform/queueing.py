@@ -4,15 +4,12 @@ Two structures live here:
 
 :class:`PendingQueue`
     The arrival-ordered set of in-flight requests that backs GROUTER's
-    queue-aware eviction oracle (§4.4.2).  The seed implementation kept
-    a plain list, making ``finish`` (``list.remove``) and
-    ``position_of`` (``list.index``) O(n) per call and leaking one
-    object binding per Put forever.  This version keeps a Fenwick tree
-    over arrival slots: ``enqueue``/``finish`` are O(log n) tree
-    updates with O(1) dict bookkeeping, ``position_of`` is one O(log n)
-    prefix count, object bindings are dropped the moment their request
-    finishes, and dead slots are compacted away once they outnumber the
-    live ones — nothing on the pending path scans a list.
+    queue-aware eviction oracle (§4.4.2): an insertion-ordered dict from
+    each pending request to the object ids bound to it.  ``enqueue``,
+    ``finish`` and ``bind_object`` are O(1) dict operations (``finish``
+    also drops the request's bindings), and ``position_of`` scans the
+    pending requests, which the experiments that query it keep to a few
+    dozen.
 
 :class:`StageQueue`
     A per-stage depth counter.  Stage queues are unbounded, so
@@ -29,96 +26,35 @@ from repro.common.errors import SchedulingError
 from repro.sim.core import Environment
 from repro.telemetry.events import StageQueueDepth
 
-_MIN_SLOTS = 64
-
 
 class PendingQueue:
-    """Arrival-ordered pending requests with O(log n) indexed lookups."""
+    """Arrival-ordered pending requests and the objects bound to them."""
 
     def __init__(self) -> None:
-        self._capacity = _MIN_SLOTS
-        self._tree = [0] * (self._capacity + 1)
-        self._base = 0  # arrival seq mapped to tree slot 0
-        self._next_seq = 0
-        self._seq: dict[str, int] = {}  # request_id -> arrival seq (alive)
-        self._count = 0
-        self._dead_slots = 0
+        # Pending request id -> object ids bound to it, in arrival order.
+        self._pending: dict[str, list[str]] = {}
+        # Object id -> the pending request it was last bound to.
         self._object_request: dict[str, str] = {}
-        self._request_objects: dict[str, list[str]] = {}
         # Operation counters; perfbench's traced run reports their sum
         # per request as platform.queue_ops_per_req.
-        self.counters = {
-            "enqueue": 0,
-            "finish": 0,
-            "bind": 0,
-            "position": 0,
-            "compactions": 0,
-        }
+        self.counters = {"enqueue": 0, "finish": 0, "bind": 0, "position": 0}
 
-    # -- Fenwick primitives (0-based slot index) ------------------------------
-    def _add(self, slot: int, delta: int) -> None:
-        i = slot + 1
-        while i <= self._capacity:
-            self._tree[i] += delta
-            i += i & -i
-
-    def _prefix(self, slot: int) -> int:
-        """Count of alive entries in slots [0..slot]."""
-        i = slot + 1
-        total = 0
-        while i > 0:
-            total += self._tree[i]
-            i -= i & -i
-        return total
-
-    def _rebuild(self) -> None:
-        """Re-pack alive entries into a fresh tree, dropping dead slots.
-
-        ``self._seq`` iterates in insertion (= arrival) order, so the
-        re-assigned slots preserve queue positions exactly.
-        """
-        alive = list(self._seq.items())
-        self._capacity = max(_MIN_SLOTS, 2 * len(alive))
-        self._tree = [0] * (self._capacity + 1)
-        self._base = self._next_seq
-        for request_id, _old_seq in alive:
-            seq = self._next_seq
-            self._next_seq += 1
-            self._seq[request_id] = seq
-            self._add(seq - self._base, 1)
-        self._dead_slots = 0
-        self.counters["compactions"] += 1
-
-    # -- pending-request path -------------------------------------------------
     def enqueue(self, request_id: str) -> None:
         self.counters["enqueue"] += 1
-        if self._next_seq - self._base >= self._capacity:
-            self._rebuild()
-        seq = self._next_seq
-        self._next_seq += 1
-        self._seq[request_id] = seq
-        self._add(seq - self._base, 1)
-        self._count += 1
+        self._pending[request_id] = []
 
     def finish(self, request_id: str) -> None:
         """Drop a request and every object binding it accumulated."""
         self.counters["finish"] += 1
-        seq = self._seq.pop(request_id, None)
-        if seq is None:
-            return
-        self._add(seq - self._base, -1)
-        self._count -= 1
-        self._dead_slots += 1
-        for object_id in self._request_objects.pop(request_id, ()):
+        for object_id in self._pending.pop(request_id, ()):
             if self._object_request.get(object_id) == request_id:
                 del self._object_request[object_id]
-        if self._dead_slots > max(_MIN_SLOTS, 2 * self._count):
-            self._rebuild()
 
     def bind_object(self, object_id: str, request_id: str) -> None:
+        """Bind an object to a pending request; the last binding wins."""
         self.counters["bind"] += 1
+        self._pending[request_id].append(object_id)
         self._object_request[object_id] = request_id
-        self._request_objects.setdefault(request_id, []).append(object_id)
 
     def position_of(self, object_id: str) -> Optional[int]:
         """Queue index of the object's pending consumer, or ``None``."""
@@ -126,14 +62,11 @@ class PendingQueue:
         request_id = self._object_request.get(object_id)
         if request_id is None:
             return None
-        seq = self._seq.get(request_id)
-        if seq is None:
-            return None
-        return self._prefix(seq - self._base) - 1
+        return list(self._pending).index(request_id)
 
     @property
     def depth(self) -> int:
-        return self._count
+        return len(self._pending)
 
     @property
     def bound_objects(self) -> int:

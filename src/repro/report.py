@@ -1,7 +1,7 @@
 """Rendering and export of experiment tables.
 
 Turns :class:`~repro.experiments.harness.ExperimentTable` rows into
-ASCII bar charts, CSV, or JSON — the CLI's output backends.
+text tables, CSV, or JSON — the CLI's output backends.
 """
 
 from __future__ import annotations
@@ -9,12 +9,9 @@ from __future__ import annotations
 import csv
 import io
 import json
-from typing import Optional
 
 from repro.common.errors import ConfigError
 from repro.experiments.harness import ExperimentTable
-
-BAR_WIDTH = 40
 
 
 def to_csv(table: ExperimentTable) -> str:
@@ -39,34 +36,6 @@ def to_json(table: ExperimentTable) -> str:
         indent=2,
         default=str,
     )
-
-
-def bar_chart(
-    table: ExperimentTable,
-    value_column: str,
-    label_column: Optional[str] = None,
-    width: int = BAR_WIDTH,
-) -> str:
-    """ASCII horizontal bar chart of one numeric column."""
-    if value_column not in table.columns:
-        raise ConfigError(
-            f"column {value_column!r} not in table {table.name!r}"
-        )
-    label_column = label_column or table.columns[0]
-    entries = []
-    for row in table.rows:
-        value = row.get(value_column)
-        if isinstance(value, (int, float)) and value == value:  # not NaN
-            entries.append((str(row.get(label_column)), float(value)))
-    if not entries:
-        return f"{table.name}: no numeric data in {value_column!r}"
-    peak = max(value for _label, value in entries) or 1.0
-    label_width = max(len(label) for label, _value in entries)
-    lines = [f"{table.name} — {value_column}"]
-    for label, value in entries:
-        bar = "#" * max(1, int(round(width * value / peak)))
-        lines.append(f"{label.ljust(label_width)}  {bar} {value:.3g}")
-    return "\n".join(lines)
 
 
 def metrics_summary_table(registry) -> ExperimentTable:

@@ -29,8 +29,10 @@ class EventBus:
     """Synchronous publish/subscribe fan-out of telemetry events."""
 
     def __init__(self) -> None:
-        self._by_type: dict[Type[TelemetryEvent], list[Callback]] = {}
-        self._all: list[Callback] = []
+        # Callback tuples are replaced, never mutated, so ``publish``
+        # iterates them directly (see its docstring).
+        self._by_type: dict[Type[TelemetryEvent], tuple[Callback, ...]] = {}
+        self._all: tuple[Callback, ...] = ()
         self.published = 0
 
     def subscribe(
@@ -40,9 +42,11 @@ class EventBus:
     ) -> Callback:
         """Register *callback* for *event_type* (``None`` = every event)."""
         if event_type is None:
-            self._all.append(callback)
+            self._all += (callback,)
         else:
-            self._by_type.setdefault(event_type, []).append(callback)
+            self._by_type[event_type] = (
+                self._by_type.get(event_type, ()) + (callback,)
+            )
         return callback
 
     def unsubscribe(
@@ -50,30 +54,36 @@ class EventBus:
         event_type: Optional[Type[TelemetryEvent]],
         callback: Callback,
     ) -> None:
-        """Remove a previously registered callback (no-op if absent)."""
+        """Remove one registration of *callback* (no-op if absent)."""
         listeners = (
-            self._all if event_type is None else self._by_type.get(event_type, [])
+            self._all if event_type is None else self._by_type.get(event_type, ())
         )
-        if callback in listeners:
-            listeners.remove(callback)
+        try:
+            index = listeners.index(callback)
+        except ValueError:
+            return
+        remaining = listeners[:index] + listeners[index + 1:]
+        if event_type is None:
+            self._all = remaining
+        else:
+            self._by_type[event_type] = remaining
 
     def publish(self, event: TelemetryEvent) -> None:
         """Deliver *event* synchronously to every matching subscriber.
 
-        Delivery iterates over a snapshot of each callback list, so a
-        subscriber may ``unsubscribe`` (itself or another callback) or
-        ``subscribe`` during delivery without corrupting the fan-out.
-        A callback removed mid-publish still receives the in-flight
-        event; one added mid-publish first sees the next event.
+        ``subscribe`` and ``unsubscribe`` replace the callback tuples
+        instead of mutating them, so delivery runs over the tuples as
+        they were when it began: a subscriber may ``unsubscribe``
+        (itself or another callback) or ``subscribe`` during delivery
+        without corrupting the fan-out.  A callback removed mid-publish
+        still receives the in-flight event; one added mid-publish first
+        sees the next event.
         """
         self.published += 1
-        typed = self._by_type.get(type(event))
-        if typed:
-            for callback in tuple(typed):
-                callback(event)
-        if self._all:
-            for callback in tuple(self._all):
-                callback(event)
+        for callback in self._by_type.get(type(event), ()):
+            callback(event)
+        for callback in self._all:
+            callback(event)
 
     @property
     def subscriber_count(self) -> int:

@@ -7,9 +7,7 @@ from repro.traces.azure import (
     TraceConfig,
     generate_arrivals,
     iter_arrivals,
-    load_trace,
     make_trace,
-    save_trace,
     stream_trace,
 )
 
@@ -20,8 +18,6 @@ __all__ = [
     "TraceConfig",
     "generate_arrivals",
     "iter_arrivals",
-    "load_trace",
     "make_trace",
-    "save_trace",
     "stream_trace",
 ]

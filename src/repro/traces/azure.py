@@ -261,44 +261,6 @@ class Trace:
             return 0.0
         return len(self.arrivals) / self.config.duration
 
-    def interarrival_p99(self) -> float:
-        if len(self.arrivals) < 2:
-            return float("inf")
-        gaps = np.diff(self.arrivals)
-        return float(np.percentile(gaps, 99))
-
-
-def save_trace(trace: Trace, path: str) -> None:
-    """Persist a trace (config + arrivals) as JSON for exact replay."""
-    import json
-
-    document = {
-        "config": {
-            "pattern": trace.config.pattern,
-            "rate": trace.config.rate,
-            "duration": trace.config.duration,
-            "seed": trace.config.seed,
-            "period": trace.config.period,
-            "amplitude": trace.config.amplitude,
-            "burst_factor": trace.config.burst_factor,
-            "burst_fraction": trace.config.burst_fraction,
-            "mean_burst_len": trace.config.mean_burst_len,
-        },
-        "arrivals": trace.arrivals.tolist(),
-    }
-    with open(path, "w") as handle:
-        json.dump(document, handle)
-
-
-def load_trace(path: str) -> Trace:
-    """Load a trace previously written by :func:`save_trace`."""
-    import json
-
-    with open(path) as handle:
-        document = json.load(handle)
-    config = TraceConfig(**document["config"])
-    return Trace(config=config, arrivals=np.asarray(document["arrivals"]))
-
 
 def make_trace(pattern: str, rate: float, duration: float, seed: int = 0,
                **kwargs) -> Trace:

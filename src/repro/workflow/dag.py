@@ -149,23 +149,6 @@ class Workflow:
         """Distinct function (stage) names, for ACL registration."""
         return sorted(self.stages)
 
-    def to_dot(self) -> str:
-        """Graphviz DOT rendering (GPU stages boxed, CPU stages oval)."""
-        lines = [f'digraph "{self.name}" {{', "  rankdir=LR;"]
-        for stage in self.stages.values():
-            shape = "box" if stage.spec.is_gpu else "ellipse"
-            lines.append(f'  "{stage.name}" [shape={shape}];')
-        for edge in self.edges:
-            attrs = []
-            if edge.fraction != 1.0:
-                attrs.append(f"label=\"x{edge.fraction:g}\"")
-            if edge.probability != 1.0:
-                attrs.append("style=dashed")
-            suffix = f" [{', '.join(attrs)}]" if attrs else ""
-            lines.append(f'  "{edge.src}" -> "{edge.dst}"{suffix};')
-        lines.append("}")
-        return "\n".join(lines)
-
     def __len__(self) -> int:
         return len(self.stages)
 

@@ -8,7 +8,7 @@ import pytest
 from repro.cli import EXPERIMENTS, build_parser, main
 from repro.common.errors import ConfigError
 from repro.experiments.harness import ExperimentTable
-from repro.report import bar_chart, render, to_csv, to_json
+from repro.report import render, to_csv, to_json
 
 
 @pytest.fixture
@@ -33,18 +33,6 @@ class TestReport:
         doc = json.loads(to_json(table))
         assert doc["name"] == "demo"
         assert doc["rows"][1]["plane"] == "grouter"
-
-    def test_bar_chart_scales_to_peak(self, table):
-        chart = bar_chart(table, "latency_ms")
-        lines = chart.splitlines()
-        assert "infless+" in lines[1]
-        bars = [line.count("#") for line in lines[1:]]
-        assert bars[0] == max(bars)
-        assert bars[1] >= 1
-
-    def test_bar_chart_unknown_column(self, table):
-        with pytest.raises(ConfigError):
-            bar_chart(table, "nope")
 
     def test_render_formats(self, table):
         assert "== demo ==" in render(table, "table")

@@ -67,15 +67,16 @@ class TestMetricsAccounting:
         assert plane.metrics.copies == 2  # D2H + H2D
         assert plane.metrics.bytes_moved() == pytest.approx(2 * 10 * MB)
 
-    def test_latency_filter_by_category(self, env, cluster):
+    def test_transfers_counted_by_category(self, env, cluster):
         plane = HostCentricPlane(env, cluster)
         register(plane)
         node = cluster.nodes[0]
         src = make_gpu_ctx(env, node, 0)
         dst = make_gpu_ctx(env, node, 1, model="person-rec")
         put_get(env, plane, src, dst, size=10 * MB)
-        assert len(plane.metrics.latencies("gfn-host")) == 2
-        assert plane.metrics.latencies(CAT_GFN_GFN_INTRA) == []
+        assert plane.metrics.transfers == {"gfn-host": 2}
+        assert plane.metrics.bytes_moved("gfn-host") == 2 * 10 * MB
+        assert plane.metrics.bytes_moved(CAT_GFN_GFN_INTRA) == 0.0
 
 
 class TestGRouterVariants:

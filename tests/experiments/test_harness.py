@@ -122,11 +122,3 @@ class TestFig12:
         assert by_name["driving"]["patterns"] == "sequence"
         assert "condition" in by_name["traffic"]["patterns"]
         assert "fan-in" in by_name["video"]["patterns"]
-
-    def test_dot_renderings(self):
-        dots = fig12.render_all_dot()
-        assert set(dots) == {
-            "traffic", "driving", "video", "image", "recognition"
-        }
-        for dot in dots.values():
-            assert dot.startswith("digraph")

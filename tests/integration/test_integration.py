@@ -115,15 +115,3 @@ class TestCrossNodeExecution:
             env.run()
             latencies[plane_name] = proc.value.latency
         assert latencies["grouter"] < latencies["infless+"]
-
-
-class TestWorkflowDot:
-    def test_every_workload_renders_dot(self):
-        for name in WORKLOADS:
-            dot = get_workload(name).workflow.to_dot()
-            assert dot.startswith("digraph")
-            assert dot.rstrip().endswith("}")
-
-    def test_conditional_edges_dashed(self):
-        dot = get_workload("traffic").workflow.to_dot()
-        assert "style=dashed" in dot

@@ -11,12 +11,8 @@ path (every arrival admitted, unbounded stage queues, round-robin
 replicas) must reproduce them bit-for-bit: same arrivals, same finish
 times, same per-request compute/data breakdowns, same skipped
 branches.
-
-Also pins a structural acceptance criterion: the pending-request index
-performs no linear list scans.
 """
 
-import inspect
 import json
 import pathlib
 
@@ -24,7 +20,6 @@ import numpy as np
 import pytest
 
 from repro.experiments.harness import build_testbed, run_workload_on_plane
-from repro.platform import queueing
 from repro.traces import Trace, TraceConfig
 from repro.workflow import get_workload
 
@@ -106,11 +101,3 @@ class TestGoldenDifferential:
         expected = golden[f"replicas2/{plane}/{workflow}"]
         assert len(rows) == len(expected) == 74
         assert rows == expected
-
-
-class TestNoLinearScans:
-    def test_pending_queue_avoids_list_scans(self):
-        """The O(1)/O(log n) pending path never scans python lists."""
-        source = inspect.getsource(queueing)
-        assert ".remove(" not in source
-        assert ".index(" not in source

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.common.errors import ConfigError
-from repro.traces import Trace, TraceConfig, make_trace
+from repro.traces import TraceConfig, make_trace
 
 
 class TestConfigValidation:
@@ -75,16 +75,3 @@ class TestTraceObject:
         trace = make_trace("sporadic", rate=5.0, duration=10.0, seed=7)
         with pytest.raises(ConfigError):
             trace.scaled(0.0)
-
-    def test_interarrival_p99(self):
-        trace = make_trace("sporadic", rate=10.0, duration=100.0, seed=7)
-        p99 = trace.interarrival_p99()
-        gaps = np.diff(trace.arrivals)
-        assert p99 <= gaps.max() + 1e-12
-        assert p99 >= np.median(gaps)
-
-    def test_empty_trace_p99_inf(self):
-        trace = Trace(
-            config=TraceConfig(pattern="sporadic", rate=1.0, duration=1.0)
-        )
-        assert trace.interarrival_p99() == float("inf")
